@@ -1,5 +1,6 @@
-"""T3 bench: FIHC pipeline (pattern strings -> label encode -> features ->
-3x pdist + HAC + geo validation) over the full-scale mining result."""
+"""T3 bench: FIHC pipeline (one collect of the mined set -> driver-side
+label encoding + features -> 3x pdist + HAC + geo validation) over the
+full-scale mining result."""
 from __future__ import annotations
 
 from repro.core.fihc import fihc

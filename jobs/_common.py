@@ -3,12 +3,25 @@
 Each job builds (or reuses) a SparkSession, generates the synthetic
 RecipeDB at the requested scale, runs one pipeline, and prints the table
 that reproduces the corresponding paper artifact.
+
+Importing this module makes ``repro`` importable without ``pip install``:
+it puts the checkout's ``src/`` on the driver's ``sys.path`` and on
+``PYTHONPATH``, which Spark passes to its Python workers. Jobs import it
+before ``repro`` and before any session starts.
 """
 from __future__ import annotations
 
 import argparse
+import os
+import sys
+from pathlib import Path
 
 from pyspark.sql import SparkSession
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+sys.path.insert(0, SRC)
+_path = os.environ.get("PYTHONPATH")
+os.environ["PYTHONPATH"] = SRC + (os.pathsep + _path if _path else "")
 
 
 def build_session(app: str) -> SparkSession:

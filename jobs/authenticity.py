@@ -5,17 +5,13 @@ per-cuisine most/least authentic ingredient fingerprints.
 """
 from __future__ import annotations
 
-import sys
+from _common import base_parser, build_session
 
-sys.path.insert(0, "src")
-
-from _common import base_parser, build_session  # noqa: E402
-
-from repro.authenticity.prevalence import top_authentic_items  # noqa: E402
-from repro.cluster.hac import ascii_dendrogram  # noqa: E402
-from repro.core.authenticity import authenticity_clustering  # noqa: E402
-from repro.recipedb.generator import recipes  # noqa: E402
-from repro.recipedb.vocab import REGIONS  # noqa: E402
+from repro.authenticity.prevalence import top_authentic_items
+from repro.cluster.hac import ascii_dendrogram
+from repro.core.authenticity import authenticity_clustering
+from repro.recipedb.generator import recipes
+from repro.recipedb.vocab import REGIONS
 
 
 def main() -> None:

@@ -4,14 +4,10 @@
 """
 from __future__ import annotations
 
-import sys
+from _common import base_parser, build_session
 
-sys.path.insert(0, "src")
-
-from _common import base_parser, build_session  # noqa: E402
-
-from repro.core.elbow import elbow  # noqa: E402
-from repro.recipedb.generator import recipes  # noqa: E402
+from repro.core.elbow import elbow
+from repro.recipedb.generator import recipes
 
 
 def main() -> None:

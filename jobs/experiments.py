@@ -5,23 +5,20 @@ the source of the measured numbers recorded in EXPERIMENTS.md.
 """
 from __future__ import annotations
 
-import sys
 import time
 
-sys.path.insert(0, "src")
+from _common import base_parser, build_session
 
-from _common import base_parser, build_session  # noqa: E402
-
-from repro.cluster.hac import ascii_dendrogram  # noqa: E402
-from repro.core.authenticity import authenticity_clustering  # noqa: E402
-from repro.core.elbow import elbow  # noqa: E402
-from repro.core.fihc import fihc  # noqa: E402
-from repro.core.table1 import table1  # noqa: E402
-from repro.geo.regions import geo_tree  # noqa: E402
-from repro.mining.spark_fpm import mine_all_regions  # noqa: E402
-from repro.recipedb.generator import recipes  # noqa: E402
-from repro.recipedb.stats import dataset_summary  # noqa: E402
-from repro.recipedb.vocab import REGIONS  # noqa: E402
+from repro.cluster.hac import ascii_dendrogram
+from repro.core.authenticity import authenticity_clustering
+from repro.core.elbow import elbow
+from repro.core.fihc import fihc
+from repro.core.table1 import table1
+from repro.geo.regions import geo_tree
+from repro.mining.spark_fpm import mine_all_regions
+from repro.recipedb.generator import recipes
+from repro.recipedb.stats import dataset_summary
+from repro.recipedb.vocab import REGIONS
 
 
 def main() -> None:

@@ -4,16 +4,12 @@
 """
 from __future__ import annotations
 
-import sys
+from _common import base_parser, build_session
 
-sys.path.insert(0, "src")
-
-from _common import base_parser, build_session  # noqa: E402
-
-from repro.cluster.hac import ascii_dendrogram  # noqa: E402
-from repro.core.fihc import fihc  # noqa: E402
-from repro.recipedb.generator import recipes  # noqa: E402
-from repro.recipedb.vocab import REGIONS  # noqa: E402
+from repro.cluster.hac import ascii_dendrogram
+from repro.core.fihc import fihc
+from repro.recipedb.generator import recipes
+from repro.recipedb.vocab import REGIONS
 
 
 def main() -> None:

@@ -4,13 +4,11 @@
 """
 from __future__ import annotations
 
-import sys
+import _common  # noqa: F401  (puts src/ on the path)
 
-sys.path.insert(0, "src")
-
-from repro.cluster.hac import ascii_dendrogram, to_newick  # noqa: E402
-from repro.geo.regions import geo_tree  # noqa: E402
-from repro.recipedb.vocab import REGIONS  # noqa: E402
+from repro.cluster.hac import ascii_dendrogram, to_newick
+from repro.geo.regions import geo_tree
+from repro.recipedb.vocab import REGIONS
 
 
 def main() -> None:

@@ -10,8 +10,8 @@ definitions their scipy pipeline would have computed:
     cosine(x, y)    = 1 - x.y / (||x|| ||y||)
     jaccard(x, y)   = 1 - |x ∧ y| / |x ∨ y|     (binary vectors)
 
-A Spark cross-join implementation is provided as well and cross-checked in
-tests; at 26 cuisines the NumPy path is authoritative.
+At 26 cuisines this runs on the driver in NumPy; tests check it against a
+brute-force pairwise loop.
 """
 from __future__ import annotations
 
@@ -86,69 +86,3 @@ def pdist(X: np.ndarray, metric: str = "euclidean") -> np.ndarray:
         k += n - 1 - i
     return out
 
-
-def pdist_spark(spark, X: np.ndarray, labels: list[str], metric: str = "euclidean"):
-    """The same condensed distances computed as a Spark cross-join over a
-    (label, vector) DataFrame — demonstrates the distributed formulation
-    and cross-checks the NumPy path in tests.
-
-    Returns a DataFrame (label_i, label_j, distance) for i < j in ``labels``
-    order.
-    """
-    import pandas as pd
-    from pyspark.sql import functions as F
-
-    idx = {lab: k for k, lab in enumerate(labels)}
-    pdf = pd.DataFrame(
-        {"label": labels, "vec": [X[i].tolist() for i in range(len(labels))]}
-    )
-    df = spark.createDataFrame(pdf)
-    a = df.select(
-        F.col("label").alias("label_i"), F.col("vec").alias("vec_i")
-    )
-    b = df.select(
-        F.col("label").alias("label_j"), F.col("vec").alias("vec_j")
-    )
-    pairs = a.crossJoin(b)
-    # Keep i < j in `labels` order via a rank lookup map literal.
-    rank = F.create_map(
-        *[x for lab, k in idx.items() for x in (F.lit(lab), F.lit(k))]
-    )
-    pairs = pairs.filter(rank[F.col("label_i")] < rank[F.col("label_j")])
-    zipped = F.arrays_zip("vec_i", "vec_j")
-    if metric == "euclidean":
-        dist = F.sqrt(
-            F.aggregate(
-                zipped,
-                F.lit(0.0),
-                lambda acc, x: acc + (x["vec_i"] - x["vec_j"]) ** 2,
-            )
-        )
-    elif metric == "cosine":
-        dot = F.aggregate(
-            zipped, F.lit(0.0), lambda acc, x: acc + x["vec_i"] * x["vec_j"]
-        )
-        ni = F.sqrt(
-            F.aggregate(F.col("vec_i"), F.lit(0.0), lambda acc, v: acc + v * v)
-        )
-        nj = F.sqrt(
-            F.aggregate(F.col("vec_j"), F.lit(0.0), lambda acc, v: acc + v * v)
-        )
-        dist = F.lit(1.0) - dot / (ni * nj)
-    elif metric == "jaccard":
-        inter = F.aggregate(
-            zipped,
-            F.lit(0.0),
-            lambda acc, x: acc
-            + F.when((x["vec_i"] != 0) & (x["vec_j"] != 0), 1.0).otherwise(0.0),
-        )
-        union = F.aggregate(
-            zipped,
-            F.lit(0.0),
-            lambda acc, x: acc
-            + F.when((x["vec_i"] != 0) | (x["vec_j"] != 0), 1.0).otherwise(0.0),
-        )
-        dist = F.when(union == 0, F.lit(0.0)).otherwise(F.lit(1.0) - inter / union)
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
-    return pairs.select("label_i", "label_j", dist.alias("distance"))

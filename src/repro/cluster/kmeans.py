@@ -82,37 +82,39 @@ def wcss_curve(
     return [(k, kmeans(X, k, seed=seed + k, n_init=n_init)[2]) for k in ks]
 
 
+def _chord_distances(
+    curve: list[tuple[int, float]],
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(ks, distances) of a curve normalised to the unit square, where
+    distances are perpendicular to the chord between its endpoints (the
+    "kneedle" construction); distances is None for a curve that does not
+    decrease from first to last point."""
+    ks = np.array([k for k, _ in curve], dtype=np.float64)
+    ws = np.array([w for _, w in curve], dtype=np.float64)
+    span = ws[0] - ws[-1]
+    if span <= 0:
+        return ks, None
+    x = (ks - ks[0]) / (ks[-1] - ks[0])
+    y = (ws - ws[-1]) / span
+    # Distance from (x, y) to the chord y = 1 - x, i.e. x + y - 1 = 0.
+    return ks, np.abs(x + y - 1.0) / np.sqrt(2.0)
+
+
 def knee_strength(curve: list[tuple[int, float]]) -> float:
     """Sharpness of the elbow in a WCSS curve, in [0, 1].
 
-    Normalises the curve to the unit square and measures the maximum
-    perpendicular distance to the chord between its endpoints (the
-    "kneedle" construction). A crisp elbow (e.g. WCSS collapsing at the
-    true k) scores well above 0.5; a smooth convex decay — the paper's
-    "no sharp edge or elbow like structure" — scores low.
+    The maximum normalised distance to the chord (see ``_chord_distances``).
+    A crisp elbow (e.g. WCSS collapsing at the true k) scores well above
+    0.5; a smooth convex decay — the paper's "no sharp edge or elbow like
+    structure" — scores low.
     """
-    ks = np.array([k for k, _ in curve], dtype=np.float64)
-    ws = np.array([w for _, w in curve], dtype=np.float64)
-    if len(ks) < 3:
+    if len(curve) < 3:
         raise ValueError("need at least 3 points to measure a knee")
-    x = (ks - ks[0]) / (ks[-1] - ks[0])
-    span = ws[0] - ws[-1]
-    if span <= 0:
-        return 0.0
-    y = (ws - ws[-1]) / span
-    # Distance from (x, y) to the chord y = 1 - x, i.e. x + y - 1 = 0.
-    dist = np.abs(x + y - 1.0) / np.sqrt(2.0)
-    return float(dist.max())
+    _, dist = _chord_distances(curve)
+    return 0.0 if dist is None else float(dist.max())
 
 
 def knee_k(curve: list[tuple[int, float]]) -> int:
     """The k at which the knee (if any) occurs."""
-    ks = np.array([k for k, _ in curve], dtype=np.float64)
-    ws = np.array([w for _, w in curve], dtype=np.float64)
-    x = (ks - ks[0]) / (ks[-1] - ks[0])
-    span = ws[0] - ws[-1]
-    if span <= 0:
-        return int(ks[0])
-    y = (ws - ws[-1]) / span
-    dist = np.abs(x + y - 1.0) / np.sqrt(2.0)
-    return int(ks[int(dist.argmax())])
+    ks, dist = _chord_distances(curve)
+    return int(ks[0] if dist is None else ks[int(dist.argmax())])

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
@@ -39,13 +38,11 @@ def elbow(
     ks: range = range(1, 11),
     seed: int = 0,
     mined: DataFrame | None = None,
-    features: np.ndarray | None = None,
 ) -> ElbowResult:
-    """Run the elbow analysis; pass ``mined`` or ``features`` to reuse."""
-    if features is None:
-        if mined is None:
-            mined = mine_all_regions(recipes, min_support)
-        features, _ = feature_matrix(mined, REGIONS)
+    """Run the elbow analysis; pass ``mined`` to reuse a mining result."""
+    if mined is None:
+        mined = mine_all_regions(recipes, min_support)
+    features, _ = feature_matrix(mined, REGIONS)
     curve = wcss_curve(features, ks, seed=seed)
     strength = knee_strength(curve)
     return ElbowResult(

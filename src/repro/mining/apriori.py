@@ -10,10 +10,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
 
-
-def _min_count(n: int, min_support: float) -> int:
-    mc = min_support * n
-    return max(int(mc) if mc == int(mc) else int(mc) + 1, 1)
+from .fpgrowth import min_count
 
 
 def apriori(
@@ -26,7 +23,7 @@ def apriori(
     n = len(transactions)
     if n == 0:
         return {}
-    min_count = _min_count(n, min_support)
+    mc = min_count(n, min_support)
     sets = [frozenset(t) for t in transactions]
 
     counts: dict[str, int] = defaultdict(int)
@@ -34,7 +31,7 @@ def apriori(
         for item in s:
             counts[item] += 1
     current = {
-        frozenset([i]): c for i, c in counts.items() if c >= min_count
+        frozenset([i]): c for i, c in counts.items() if c >= mc
     }
     out: dict[frozenset[str], int] = dict(current)
 
@@ -64,7 +61,7 @@ def apriori(
             for cand in candidates:
                 if cand <= s:
                     cand_counts[cand] += 1
-        current = {c: cnt for c, cnt in cand_counts.items() if cnt >= min_count}
+        current = {c: cnt for c, cnt in cand_counts.items() if cnt >= mc}
         out.update(current)
         k += 1
     return out

@@ -8,8 +8,15 @@ correctness oracle against Spark MLlib's FPGrowth in tests. Returns the
 """
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
+
+
+def min_count(n: int, min_support: float) -> int:
+    """Smallest absolute count that is frequent among ``n`` transactions:
+    ``max(1, ceil(min_support * n))``."""
+    return max(1, math.ceil(min_support * n))
 
 
 class _Node:
@@ -126,12 +133,9 @@ def fpgrowth(
         transactions: iterable of item collections (duplicates within a
             transaction are collapsed, as in MLlib).
         min_support: relative support threshold in (0, 1]; an itemset is
-            frequent iff ``count >= ceil? no — count/n >= min_support`` using
-            the MLlib convention ``count >= ceil(min_support * n)`` is NOT
-            applied; we use ``count >= min_support * n`` (count is integral,
-            so this equals ``count >= ceil(min_support * n)`` whenever
-            ``min_support * n`` is not an exact integer, and includes the
-            boundary when it is — matching MLlib's ``freq / n >= minSupport``).
+            frequent iff its count is at least ``min_count(n, min_support)``
+            = ``max(1, ceil(min_support * n))``, the threshold MLlib's
+            FPGrowth applies for ``freq / n >= minSupport``.
 
     Returns:
         dict mapping frozenset(itemset) -> absolute frequency.
@@ -139,12 +143,10 @@ def fpgrowth(
     n = len(transactions)
     if n == 0:
         return {}
-    min_count = min_support * n
-    min_count_int = int(min_count) if min_count == int(min_count) else int(min_count) + 1
-    min_count_int = max(min_count_int, 1)
-    tree = _build_tree(((t, 1) for t in transactions), min_count_int)
+    mc = min_count(n, min_support)
+    tree = _build_tree(((t, 1) for t in transactions), mc)
     out: dict[frozenset[str], int] = {}
-    _mine(tree, min_count_int, frozenset(), out)
+    _mine(tree, mc, frozenset(), out)
     return out
 
 
@@ -158,8 +160,7 @@ def bruteforce(
     n = len(transactions)
     if n == 0:
         return {}
-    min_count = min_support * n
-    min_count_int = max(int(min_count) if min_count == int(min_count) else int(min_count) + 1, 1)
+    mc = min_count(n, min_support)
     sets = [frozenset(t) for t in transactions]
     counts: dict[frozenset[str], int] = defaultdict(int)
     for s in sets:
@@ -168,4 +169,4 @@ def bruteforce(
         for r in range(1, top + 1):
             for combo in itertools.combinations(items, r):
                 counts[frozenset(combo)] += 1
-    return {k: v for k, v in counts.items() if v >= min_count_int}
+    return {k: v for k, v in counts.items() if v >= mc}

@@ -3,21 +3,21 @@
 The paper turns each mined frozenset into a sorted, concatenated "string
 pattern", builds the unique pattern universe over all 26 cuisines, label
 encodes it (patterns are categorical), and vectorises each cuisine over
-the encoded universe. We implement the same steps in the DataFrame layer:
+the encoded universe. The mining result is ~1.5k rows, so after one
+``collect`` all of this runs on the driver:
 
-* ``pattern_strings`` — canonical string per mined itemset;
-* ``label_encode`` — global pattern → dense id via ``row_number`` over the
-  sorted distinct patterns (a deterministic LabelEncoder);
-* ``feature_matrix`` — the cuisine × pattern binary incidence matrix that
-  feeds ``pdist`` + HAC. (The paper's prose is ambiguous about the vector
-  values; binary membership of the label-encoded pattern universe is the
-  reading consistent with using Jaccard alongside Euclidean/Cosine.)
+* ``canon_pattern`` — canonical string per mined itemset;
+* ``feature_matrix`` — label encoding (sorted distinct patterns, as
+  sklearn's LabelEncoder) and the cuisine × pattern binary incidence
+  matrix that feeds ``pdist`` + HAC. (The paper's prose is ambiguous about
+  the vector values; binary membership of the label-encoded pattern
+  universe is the reading consistent with using Jaccard alongside
+  Euclidean/Cosine.)
 """
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
 
 SEPARATOR = " + "
 
@@ -27,57 +27,25 @@ def canon_pattern(items) -> str:
     return SEPARATOR.join(sorted(items))
 
 
-def pattern_strings(mined: DataFrame) -> DataFrame:
-    """Add the canonical ``pattern`` string column to mined itemsets."""
-    return mined.withColumn(
-        "pattern", F.array_join(F.array_sort("items"), SEPARATOR)
-    )
-
-
-def label_encode(with_patterns: DataFrame) -> DataFrame:
-    """Build the global pattern universe with dense integer labels.
-
-    Returns (pattern, label) with labels 0..P-1 assigned in lexicographic
-    pattern order — equivalent to sklearn's LabelEncoder fit on the sorted
-    unique pattern set, but computed in Spark.
-    """
-    w = Window.orderBy("pattern")
-    return (
-        with_patterns.select("pattern")
-        .distinct()
-        .withColumn("label", F.row_number().over(w) - F.lit(1))
-    )
-
-
-def encoded_patterns(mined: DataFrame) -> DataFrame:
-    """(region, pattern, label, support) for every mined pattern."""
-    with_p = pattern_strings(mined)
-    labels = label_encode(with_p)
-    return with_p.join(labels, "pattern").select(
-        "region", "pattern", "label", "support"
-    )
-
-
 def feature_matrix(
     mined: DataFrame, regions: list[str]
 ) -> tuple[np.ndarray, list[str]]:
     """Binary cuisine × pattern incidence matrix.
 
-    Rows follow ``regions`` order; columns follow label order. Built from
-    the label-encoded Spark DataFrame, then densified on the driver (26 × P
-    is tiny — this is the paper's "feature vector ... fed to the cluster").
+    Rows follow ``regions`` order; columns are the distinct canonical
+    patterns in sorted order (their label-encoded ids). A region with no
+    mined pattern gets an all-zero row.
     """
-    enc = encoded_patterns(mined)
-    rows = enc.select("region", "label").collect()
-    n_labels = enc.agg(F.max("label")).first()[0]
-    if n_labels is None:
-        raise ValueError("no mined patterns to vectorise")
-    mat = np.zeros((len(regions), n_labels + 1), dtype=np.float64)
-    idx = {r: i for i, r in enumerate(regions)}
-    for row in rows:
-        mat[idx[row["region"]], row["label"]] = 1.0
-    patterns = [
-        r["pattern"]
-        for r in enc.select("pattern", "label").distinct().orderBy("label").collect()
+    rows = [
+        (r["region"], canon_pattern(r["items"]))
+        for r in mined.select("region", "items").collect()
     ]
+    if not rows:
+        raise ValueError("no mined patterns to vectorise")
+    patterns = sorted({p for _, p in rows})
+    col = {p: j for j, p in enumerate(patterns)}
+    idx = {r: i for i, r in enumerate(regions)}
+    mat = np.zeros((len(regions), len(patterns)), dtype=np.float64)
+    for region, pattern in rows:
+        mat[idx[region], col[pattern]] = 1.0
     return mat, patterns

@@ -6,9 +6,9 @@ Two engines with identical output contracts (cross-validated in tests):
   over region groups running the reference FP-Growth per group. This is
   the "FP-Growth per partition" layout the repro hint describes; a region's
   transactions always fit one group at RecipeDB scale.
-* :func:`mine_region_mllib` / :func:`mine_all_regions_mllib` — Spark
-  MLlib's DataFrame-based ``pyspark.ml.fpm.FPGrowth``, one fit per cuisine
-  (26 sequential jobs; used for cross-validation and the miner benchmark).
+* :func:`mine_region_mllib` — Spark MLlib's DataFrame-based
+  ``pyspark.ml.fpm.FPGrowth``, one fit per cuisine (used for
+  cross-validation and the miner benchmark).
 
 Also provides :func:`pattern_support`, a Spark SQL containment query used
 to measure the support of the paper's *named* patterns directly from the
@@ -19,11 +19,12 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from .fpgrowth import fpgrowth
+from .patterns import canon_pattern
 
 MINED_SCHEMA = T.StructType(
     [
@@ -85,20 +86,6 @@ def mine_region_mllib(
     )
 
 
-def mine_all_regions_mllib(
-    recipes: DataFrame, min_support: float = 0.2, regions: Sequence[str] | None = None
-) -> DataFrame:
-    """MLlib variant over all (or selected) cuisines — 1 fit per cuisine."""
-    if regions is None:
-        regions = [r["region"] for r in recipes.select("region").distinct().collect()]
-    out: DataFrame | None = None
-    for region in regions:
-        part = mine_region_mllib(recipes, region, min_support)
-        out = part if out is None else out.unionByName(part)
-    assert out is not None, "no regions to mine"
-    return out
-
-
 def pattern_support(
     recipes: DataFrame, patterns: Sequence[Sequence[str]]
 ) -> DataFrame:
@@ -109,24 +96,27 @@ def pattern_support(
     ``pattern`` is the canonical " + "-joined sorted string.
     """
     aggs = [F.count(F.lit(1)).alias("n_recipes")]
-    names = []
-    for p in patterns:
-        canon = " + ".join(sorted(p))
-        names.append(canon)
+    pairs = []
+    for k, p in enumerate(patterns):
         cond = None
         for item in p:
             c = F.array_contains("items", item)
             cond = c if cond is None else (cond & c)
-        aggs.append(F.sum(cond.cast("long")).alias(canon))
+        # Positional aliases: pattern names never reach a SQL string, so
+        # items with quote characters need no escaping.
+        aggs.append(F.sum(cond.cast("long")).alias(f"p{k}"))
+        pairs.append(
+            F.struct(
+                F.lit(canon_pattern(p)).alias("pattern"),
+                F.col(f"p{k}").alias("freq"),
+            )
+        )
     wide = recipes.groupBy("region").agg(*aggs)
-    stack_expr = ", ".join(f"'{n}', `{n}`" for n in names)
-    return wide.selectExpr(
-        "region",
-        "n_recipes",
-        f"stack({len(names)}, {stack_expr}) as (pattern, freq)",
+    return wide.select(
+        "region", "n_recipes", F.explode(F.array(*pairs)).alias("pf")
     ).select(
         "region",
-        "pattern",
-        F.col("freq").cast("long").alias("freq"),
-        (F.col("freq") / F.col("n_recipes")).alias("support"),
+        F.col("pf.pattern").alias("pattern"),
+        F.col("pf.freq").cast("long").alias("freq"),
+        (F.col("pf.freq") / F.col("n_recipes")).alias("support"),
     )

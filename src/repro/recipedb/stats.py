@@ -19,24 +19,9 @@ def region_counts(recipes: DataFrame) -> DataFrame:
     )
 
 
-def unique_item_counts(recipes: DataFrame) -> DataFrame:
-    """One row: distinct ingredient / process / utensil counts in the data."""
-    return recipes.agg(
-        F.size(F.array_distinct(F.flatten(F.collect_list("ingredients")))).alias(
-            "unique_ingredients"
-        ),
-        F.size(F.array_distinct(F.flatten(F.collect_list("processes")))).alias(
-            "unique_processes"
-        ),
-        F.size(F.array_distinct(F.flatten(F.collect_list("utensils")))).alias(
-            "unique_utensils"
-        ),
-    )
-
-
 def unique_items_exploded(recipes: DataFrame) -> DataFrame:
-    """Distinct item counts via explode + distinct (scales better than
-    collect_list; used for the oracle cross-check)."""
+    """One row: distinct ingredient / process / utensil counts, via
+    explode + distinct."""
     counts = []
     for col in ("ingredients", "processes", "utensils"):
         c = (

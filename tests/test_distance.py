@@ -1,5 +1,5 @@
 """Distance substrate: metric correctness vs brute force, properties,
-condensed-form helpers, Spark cross-join parity."""
+condensed-form helpers."""
 from __future__ import annotations
 
 import math
@@ -13,7 +13,6 @@ from repro.cluster.distance import (
     METRICS,
     condensed_index,
     pdist,
-    pdist_spark,
     squareform,
 )
 
@@ -135,22 +134,3 @@ def test_property_euclidean_triangle_inequality(n, d, seed):
             for k in range(n):
                 assert sq[i, j] <= sq[i, k] + sq[k, j] + 1e-9
 
-
-@pytest.mark.parametrize("metric", METRICS)
-def test_spark_pdist_matches_numpy(spark, metric):
-    rng = np.random.default_rng(3)
-    X = (rng.random((6, 8)) < 0.5).astype(float)
-    X[X.sum(axis=1) == 0, 0] = 1.0
-    labels = [f"r{i}" for i in range(6)]
-    got = (
-        pdist_spark(spark, X, labels, metric)
-        .toPandas()
-        .sort_values(["label_i", "label_j"])
-    )
-    expect = pdist(X, metric)
-    for row in got.itertuples():
-        i, j = int(row.label_i[1:]), int(row.label_j[1:])
-        assert row.distance == pytest.approx(
-            expect[condensed_index(6, min(i, j), max(i, j))], abs=1e-9
-        )
-    assert len(got) == 15

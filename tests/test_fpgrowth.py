@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mining.fpgrowth import bruteforce, fpgrowth
+from repro.mining.apriori import apriori
+from repro.mining.fpgrowth import bruteforce, fpgrowth, min_count
 
 # Classic textbook example (Han et al. 2000, Table 1).
 HAN = [
@@ -67,6 +68,28 @@ def test_boundary_support_inclusive():
     tx = [["a"], ["a"], ["b"], ["b"]]
     res = fpgrowth(tx, 0.5)
     assert res == {frozenset(["a"]): 2, frozenset(["b"]): 2}
+
+
+@pytest.mark.parametrize(
+    "n, min_support, expected",
+    [(10, 0.2, 2), (7, 0.2, 2), (10, 1e-9, 1)],
+)
+def test_support_threshold_count(n, min_support, expected):
+    assert min_count(n, min_support) == expected
+
+
+def test_miners_agree_at_exact_boundary():
+    # 10 transactions at 0.2: min count is exactly 2, so the pair {a, b}
+    # (count 2) is frequent and {c} (count 1) is not, for every miner.
+    tx = [["a", "b"], ["a", "b", "c"]] + [["a"], ["b"], ["d"]] * 2 + [["e"]] * 2
+    expected = {
+        frozenset(["a"]): 4,
+        frozenset(["b"]): 4,
+        frozenset(["a", "b"]): 2,
+        frozenset(["d"]): 2,
+        frozenset(["e"]): 2,
+    }
+    assert fpgrowth(tx, 0.2) == bruteforce(tx, 0.2) == apriori(tx, 0.2) == expected
 
 
 def test_long_single_path_shortcut():

@@ -1,4 +1,4 @@
-"""The DuckDB oracle itself + provided TPC-H-lite generators (smoke)."""
+"""The DuckDB oracle itself (smoke), on the test-scale RecipeDB."""
 from __future__ import annotations
 
 import pandas as pd
@@ -6,62 +6,68 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.oracle import assert_equivalent
-from repro.synth_data import lineitem, orders
+from repro.recipedb.vocab import REGIONS
 
 
-def test_oracle_accepts_matching_aggregate(spark):
-    li = lineitem(spark, sf=0.001, seed=0)
-    got = li.groupBy("l_returnflag").agg(
+@pytest.fixture(scope="module")
+def sizes(recipes_small):
+    """Scalar-only view of the recipes (the oracle compares no arrays)."""
+    return recipes_small.select(
+        "region", "recipe_id", F.size("items").alias("n_items")
+    )
+
+
+def test_oracle_accepts_matching_aggregate(spark, sizes):
+    got = sizes.groupBy("region").agg(
         F.count(F.lit(1)).alias("cnt"),
-        F.round(F.sum("l_quantity"), 2).alias("qty"),
+        F.sum("n_items").alias("n_items"),
     )
     assert_equivalent(
         got,
-        """SELECT l_returnflag, count(*) AS cnt, round(sum(l_quantity), 2) AS qty
-           FROM li GROUP BY l_returnflag""",
-        li=li,
+        """SELECT region, count(*) AS cnt, sum(n_items) AS n_items
+           FROM r GROUP BY region""",
+        r=sizes,
     )
 
 
-def test_oracle_accepts_join(spark):
-    li = lineitem(spark, sf=0.001, seed=0)
-    o = orders(spark, sf=0.001, seed=1)
+def test_oracle_accepts_join(spark, sizes):
+    groups = pd.DataFrame(
+        {"region": REGIONS, "grp": [i % 3 for i in range(len(REGIONS))]}
+    )
     got = (
-        li.join(o, li.l_orderkey == o.o_orderkey)
-        .groupBy("o_orderpriority")
+        sizes.join(spark.createDataFrame(groups), "region")
+        .groupBy("grp")
         .agg(F.count(F.lit(1)).alias("cnt"))
     )
     assert_equivalent(
         got,
-        """SELECT o_orderpriority, count(*) AS cnt
-           FROM li JOIN o ON l_orderkey = o_orderkey
-           GROUP BY o_orderpriority""",
-        li=li,
-        o=o,
+        """SELECT grp, count(*) AS cnt
+           FROM r JOIN g ON r.region = g.region
+           GROUP BY grp""",
+        r=sizes,
+        g=groups,
     )
 
 
-def test_oracle_rejects_wrong_result(spark):
-    li = lineitem(spark, sf=0.001, seed=0)
-    wrong = li.groupBy("l_returnflag").agg(
+def test_oracle_rejects_wrong_result(spark, sizes):
+    wrong = sizes.groupBy("region").agg(
         (F.count(F.lit(1)) + 1).alias("cnt")  # off by one
     )
     with pytest.raises(AssertionError):
         assert_equivalent(
             wrong,
-            "SELECT l_returnflag, count(*) AS cnt FROM li GROUP BY l_returnflag",
-            li=li,
+            "SELECT region, count(*) AS cnt FROM r GROUP BY region",
+            r=sizes,
         )
 
 
-def test_oracle_rejects_column_mismatch(spark):
-    li = lineitem(spark, sf=0.001, seed=0)
-    got = li.groupBy("l_returnflag").agg(F.count(F.lit(1)).alias("n"))
+def test_oracle_rejects_column_mismatch(spark, sizes):
+    got = sizes.groupBy("region").agg(F.count(F.lit(1)).alias("n"))
     with pytest.raises(AssertionError):
         assert_equivalent(
             got,
-            "SELECT l_returnflag, count(*) AS cnt FROM li GROUP BY l_returnflag",
-            li=li,
+            "SELECT region, count(*) AS cnt FROM r GROUP BY region",
+            r=sizes,
         )
 
 

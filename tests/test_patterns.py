@@ -1,16 +1,13 @@
-"""Pattern canonicalisation, Spark label encoding, feature matrix."""
+"""Pattern canonicalisation and the driver-side feature matrix."""
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
-from repro.mining.patterns import (
-    canon_pattern,
-    encoded_patterns,
-    feature_matrix,
-    label_encode,
-    pattern_strings,
-)
+from repro.mining.patterns import canon_pattern, feature_matrix
+from repro.mining.spark_fpm import MINED_SCHEMA
 from repro.recipedb.vocab import REGIONS
 
 
@@ -23,49 +20,32 @@ def test_canon_pattern_single():
     assert canon_pattern(["butter"]) == "butter"
 
 
-def test_pattern_strings_column(spark, mined_small):
-    with_p = pattern_strings(mined_small)
-    row = with_p.first()
-    assert row["pattern"] == canon_pattern(row["items"])
-
-
-def test_label_encode_dense_and_deterministic(spark, mined_small):
-    with_p = pattern_strings(mined_small)
-    enc1 = label_encode(with_p).toPandas().sort_values("pattern")
-    enc2 = label_encode(with_p).toPandas().sort_values("pattern")
-    assert enc1["label"].tolist() == enc2["label"].tolist()
-    labels = sorted(enc1["label"])
-    assert labels == list(range(len(labels)))  # dense 0..P-1
-    # lexicographic order of patterns == numeric order of labels
-    by_label = enc1.sort_values("label")["pattern"].tolist()
-    assert by_label == sorted(by_label)
-
-
-def test_encoded_patterns_rowcount(spark, mined_small, mined_small_pdf):
-    enc = encoded_patterns(mined_small)
-    assert enc.count() == len(mined_small_pdf)
-
-
 def test_feature_matrix_binary_and_shaped(spark, mined_small):
     X, patterns = feature_matrix(mined_small, REGIONS)
     assert X.shape == (26, len(patterns))
+    assert X.dtype == np.float64
     assert set(np.unique(X)) <= {0.0, 1.0}
-    assert len(patterns) == len(set(patterns))
-    assert patterns == sorted(patterns)
+
+
+def test_feature_matrix_columns_are_sorted_universe(spark, mined_small, mined_small_pdf):
+    _, patterns = feature_matrix(mined_small, REGIONS)
+    assert patterns == sorted(set(mined_small_pdf["items"].map(canon_pattern)))
 
 
 def test_feature_matrix_matches_membership(spark, mined_small, mined_small_pdf):
+    """The whole matrix, all 26 regions, against a pure-Python build."""
     X, patterns = feature_matrix(mined_small, REGIONS)
-    col = {p: j for j, p in enumerate(patterns)}
-    pdf = mined_small_pdf.copy()
-    pdf["pattern"] = pdf["items"].map(canon_pattern)
-    for region in ["Korean", "US", "Northern Africa"]:
-        i = REGIONS.index(region)
-        mined_set = set(pdf[pdf["region"] == region]["pattern"])
-        on = {patterns[j] for j in np.nonzero(X[i])[0]}
-        assert on == mined_set
+    mined = {
+        (region, canon_pattern(items))
+        for region, items in zip(mined_small_pdf["region"], mined_small_pdf["items"])
+    }
+    expected = [
+        [1.0 if (region, p) in mined else 0.0 for p in patterns]
+        for region in REGIONS
+    ]
+    assert X.tolist() == expected
     # row sums = per-region pattern counts
-    counts = pdf.groupby("region").size()
+    counts = mined_small_pdf.groupby("region").size()
     for region in REGIONS:
         assert X[REGIONS.index(region)].sum() == counts[region]
 
@@ -74,4 +54,27 @@ def test_feature_matrix_region_order(spark, mined_small):
     X1, _ = feature_matrix(mined_small, REGIONS)
     rev = list(reversed(REGIONS))
     X2, _ = feature_matrix(mined_small, rev)
-    assert np.array_equal(X1[0], X2[-1])
+    assert np.array_equal(X1[::-1], X2)
+
+
+def test_feature_matrix_rejects_empty(spark, mined_small):
+    with pytest.raises(ValueError, match="no mined patterns"):
+        feature_matrix(mined_small.filter(F.lit(False)), REGIONS)
+
+
+def test_feature_matrix_zero_row_for_unmined_region(spark):
+    """A region that mined nothing gets an all-zero row (pins today's
+    behaviour; cosine distance on such a row is a separate question)."""
+    pdf = pd.DataFrame(
+        {
+            "region": ["A", "A", "C"],
+            "items": [["x"], ["x", "y"], ["y"]],
+            "freq": [3, 2, 4],
+            "support": [0.3, 0.2, 0.4],
+        }
+    )
+    X, patterns = feature_matrix(
+        spark.createDataFrame(pdf, schema=MINED_SCHEMA), ["A", "B", "C"]
+    )
+    assert patterns == ["x", "x + y", "y"]
+    assert X.tolist() == [[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]

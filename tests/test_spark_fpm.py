@@ -1,5 +1,5 @@
 """Spark mining engines: grouped applyInPandas vs local reference vs MLlib,
-plus the oracle-checked pattern-support SQL."""
+plus the oracle-checked pattern-support query."""
 from __future__ import annotations
 
 import pandas as pd
@@ -101,6 +101,58 @@ def test_pattern_support_oracle(spark, recipes_small, recipes_small_pdf):
         LEFT JOIN per_region pr ON pr.region = r.region
     """
     assert_equivalent(got, sql, long=long_pdf, regions=regions_pdf)
+
+
+def test_pattern_support_quoted_item_names(spark):
+    """Item names with backtick and single-quote characters are measured
+    like any other (the patterns never go through a SQL string)."""
+    recipes_pdf = pd.DataFrame(
+        {
+            "region": ["A", "A", "A", "B", "B"],
+            "recipe_id": [0, 1, 2, 3, 4],
+            "items": [
+                ["chef's knife", "`tick`", "salt"],
+                ["chef's knife", "salt"],
+                ["`tick`"],
+                ["`tick`", "salt", "chef's knife"],
+                ["salt"],
+            ],
+        }
+    )
+    pats = [("chef's knife",), ("salt", "`tick`"), ("`tick`", "chef's knife")]
+    schema = "region string, recipe_id long, items array<string>"
+    got = pattern_support(spark.createDataFrame(recipes_pdf, schema), pats)
+    long_pdf = recipes_pdf.explode("items").rename(columns={"items": "item"})
+    pats_pdf = pd.DataFrame(
+        [(" + ".join(sorted(p)), item) for p in pats for item in p],
+        columns=["pattern", "item"],
+    )
+    sql = """
+        WITH sizes AS (
+            SELECT pattern, count(*) AS k FROM pats GROUP BY pattern
+        ), hits AS (
+            SELECT l.region, l.recipe_id, p.pattern, count(DISTINCT l.item) AS k
+            FROM long l JOIN pats p ON l.item = p.item
+            GROUP BY l.region, l.recipe_id, p.pattern
+        ), found AS (
+            SELECT h.region, h.pattern, count(*) AS freq
+            FROM hits h JOIN sizes s ON h.pattern = s.pattern AND h.k = s.k
+            GROUP BY h.region, h.pattern
+        ), totals AS (
+            SELECT region, count(*) AS n FROM recipes GROUP BY region
+        )
+        SELECT t.region, s.pattern, coalesce(f.freq, 0) AS freq,
+               coalesce(f.freq, 0)::DOUBLE / t.n AS support
+        FROM totals t CROSS JOIN sizes s
+        LEFT JOIN found f ON f.region = t.region AND f.pattern = s.pattern
+    """
+    assert_equivalent(
+        got,
+        sql,
+        long=long_pdf,
+        pats=pats_pdf,
+        recipes=recipes_pdf[["region", "recipe_id"]],
+    )
 
 
 def test_pattern_support_matches_mined_result(mined_small_pdf, recipes_small, spark):

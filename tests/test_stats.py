@@ -11,7 +11,6 @@ from repro.recipedb.stats import (
     dataset_summary,
     recipes_without_utensils,
     region_counts,
-    unique_item_counts,
     unique_items_exploded,
 )
 from repro.recipedb.vocab import REGIONS
@@ -34,12 +33,18 @@ def test_region_counts_scaled(spark, recipes_small):
         assert counts[region] == expected
 
 
-def test_unique_counts_two_impls_agree(spark, recipes_small):
-    a = unique_item_counts(recipes_small).first()
-    b = unique_items_exploded(recipes_small).first()
-    assert a["unique_ingredients"] == b["unique_ingredients"]
-    assert a["unique_processes"] == b["unique_processes"]
-    assert a["unique_utensils"] == b["unique_utensils"]
+def test_unique_counts_two_impls_agree(spark, recipes_small, recipes_small_pdf):
+    """Spark's explode + distinct agrees with DuckDB's count(DISTINCT)."""
+    cols = ("ingredients", "processes", "utensils")
+    long = {c: recipes_small_pdf[[c]].explode(c).dropna() for c in cols}
+    assert_equivalent(
+        unique_items_exploded(recipes_small),
+        "SELECT "
+        + ", ".join(
+            f"(SELECT count(DISTINCT {c}) FROM {c}) AS unique_{c}" for c in cols
+        ),
+        **long,
+    )
 
 
 def test_unique_counts_within_universe(spark, recipes_small):
