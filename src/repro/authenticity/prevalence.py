@@ -26,6 +26,8 @@ import pandas as pd
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
+from ..recipedb.stats import region_counts
+
 
 def prevalence(
     recipes: DataFrame, column: str = "ingredients", norm: str = "cuisine"
@@ -43,16 +45,15 @@ def prevalence(
         F.count(F.lit(1)).alias("n_recipes_with_item")
     )
     if norm == "cuisine":
-        totals = recipes.groupBy("region").agg(F.count(F.lit(1)).alias("n_total"))
-        joined = counts.join(totals, "region")
+        counts = counts.join(region_counts(recipes), "region")
+        n_total = F.col("n_recipes")
     else:
-        total = recipes.count()
-        joined = counts.withColumn("n_total", F.lit(total))
-    return joined.select(
+        n_total = F.lit(recipes.count())
+    return counts.select(
         "region",
         "item",
         "n_recipes_with_item",
-        (F.col("n_recipes_with_item") / F.col("n_total")).alias("prevalence"),
+        (F.col("n_recipes_with_item") / n_total).alias("prevalence"),
     )
 
 

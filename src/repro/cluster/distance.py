@@ -27,16 +27,19 @@ def condensed_index(n: int, i: int, j: int) -> int:
     return n * i - (i * (i + 1)) // 2 + (j - i - 1)
 
 
+def condense(sq: np.ndarray) -> np.ndarray:
+    """Square matrix -> condensed vector of its strict upper triangle
+    (row-major, the order :func:`condensed_index` numbers)."""
+    return sq[np.triu_indices(sq.shape[0], 1)]
+
+
 def squareform(condensed: np.ndarray, n: int) -> np.ndarray:
     """Condensed vector -> symmetric square matrix with zero diagonal."""
     if len(condensed) != n * (n - 1) // 2:
         raise ValueError("condensed length does not match n")
     sq = np.zeros((n, n), dtype=np.float64)
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            sq[i, j] = sq[j, i] = condensed[k]
-            k += 1
+    i, j = np.triu_indices(n, 1)
+    sq[i, j] = sq[j, i] = condensed
     return sq
 
 
@@ -78,11 +81,5 @@ def pdist(X: np.ndarray, metric: str = "euclidean") -> np.ndarray:
         sq = _jaccard(X)
     else:
         raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
-    n = X.shape[0]
-    out = np.empty(n * (n - 1) // 2, dtype=np.float64)
-    k = 0
-    for i in range(n):
-        out[k : k + n - 1 - i] = sq[i, i + 1 :]
-        k += n - 1 - i
-    return out
+    return condense(sq)
 

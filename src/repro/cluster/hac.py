@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distance import squareform
+from .distance import condense, squareform
 
 METHODS = ("single", "complete", "average", "ward")
 
@@ -88,12 +88,7 @@ def cophenetic(Z: np.ndarray) -> np.ndarray:
             for y in mb:
                 coph[x, y] = coph[y, x] = h
         members[n + t] = ma + mb
-    out = np.empty(n * (n - 1) // 2, dtype=np.float64)
-    k = 0
-    for i in range(n):
-        out[k : k + n - 1 - i] = coph[i, i + 1 :]
-        k += n - 1 - i
-    return out
+    return condense(coph)
 
 
 def cut(Z: np.ndarray, k: int) -> np.ndarray:

@@ -45,10 +45,21 @@ def fihc(
     metrics: tuple[str, ...] = METRICS,
     mined: DataFrame | None = None,
 ) -> FihcResult:
-    """Run the full FIHC pipeline; pass ``mined`` to reuse a mining result."""
+    """Run the full FIHC pipeline; pass ``mined`` to reuse a mining result.
+
+    Raises ``ValueError`` naming every cuisine that mined no pattern: its
+    all-zero feature row has no cosine distance, and Jaccard would put all
+    such cuisines at distance 0 from each other.
+    """
     if mined is None:
         mined = mine_all_regions(recipes, min_support)
     X, patterns = feature_matrix(mined, REGIONS)
+    empty = [r for r, row in zip(REGIONS, X) if not row.any()]
+    if empty:
+        raise ValueError(
+            f"no frequent pattern mined for {len(empty)} cuisine(s): "
+            f"{', '.join(empty)}; lower min_support"
+        )
     geo = geo_tree(REGIONS, method=method)
     trees: dict[str, np.ndarray] = {}
     newicks: dict[str, str] = {}

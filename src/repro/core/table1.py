@@ -2,8 +2,9 @@
 
 For every cuisine: number of recipes, the paper's named significant
 pattern(s) with the support *we* measure (via the oracle-checked Spark SQL
-containment query — independent of the miner), and the total number of
-frequent patterns FP-Growth finds at support 0.2.
+containment query — independent of the miner; the same query yields the
+recipe counts), and the total number of frequent patterns FP-Growth finds
+at support 0.2.
 
 The paper's "Pattern" column is editorial (a raw support ranking would put
 generic items first — the paper itself notes the skew toward salt/onion/
@@ -40,33 +41,25 @@ def table1(
     all_patterns = sorted(
         {tuple(sorted(p)) for _, pats, _ in PAPER_TABLE1.values() for p, _ in pats}
     )
-    sup = pattern_support(recipes, all_patterns).toPandas()
-    sup_idx = {
-        (r, p): (s, f)
-        for r, p, s, f in zip(
-            sup["region"], sup["pattern"], sup["support"], sup["freq"]
-        )
-    }
-    n_rec = (
-        recipes.groupBy("region")
-        .agg(F.count(F.lit(1)).alias("n"))
+    sup = (
+        pattern_support(recipes, all_patterns)
         .toPandas()
-        .set_index("region")["n"]
+        .set_index(["region", "pattern"])
     )
     rows = []
     for region in REGIONS:
         paper_n_rec, pats, paper_n_pat = PAPER_TABLE1[region]
         for p, paper_sup in pats:
             canon = canon_pattern(p)
-            s, _f = sup_idx[(region, canon)]
+            hit = sup.loc[(region, canon)]
             rows.append(
                 {
                     "region": region,
-                    "n_recipes": int(n_rec[region]),
+                    "n_recipes": int(hit["n_recipes"]),
                     "paper_n_recipes": paper_n_rec,
                     "pattern": canon,
                     "paper_support": paper_sup,
-                    "support": round(float(s), 3),
+                    "support": round(float(hit["support"]), 3),
                     "paper_n_patterns": paper_n_pat,
                     "n_patterns": int(counts.get(region, 0)),
                 }

@@ -92,8 +92,9 @@ def pattern_support(
     """Measure the support of explicit itemsets per region via Spark SQL.
 
     For each pattern P: support = recipes containing all items of P /
-    recipes in region. Returns (region, pattern, freq, support) where
-    ``pattern`` is the canonical " + "-joined sorted string.
+    recipes in region. Returns (region, n_recipes, pattern, freq, support)
+    where ``n_recipes`` is the region's recipe count and ``pattern`` the
+    canonical " + "-joined sorted string.
     """
     aggs = [F.count(F.lit(1)).alias("n_recipes")]
     pairs = []
@@ -116,6 +117,7 @@ def pattern_support(
         "region", "n_recipes", F.explode(F.array(*pairs)).alias("pf")
     ).select(
         "region",
+        "n_recipes",
         F.col("pf.pattern").alias("pattern"),
         F.col("pf.freq").cast("long").alias("freq"),
         (F.col("pf.freq") / F.col("n_recipes")).alias("support"),

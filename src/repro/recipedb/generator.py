@@ -189,9 +189,7 @@ def recipes_pdf(*, scale: float = 1.0, seed: int = 0) -> pd.DataFrame:
     return pd.concat(frames, ignore_index=True)
 
 
-def recipes(
-    spark: SparkSession, *, scale: float = 1.0, seed: int = 0, partitions: int | None = None
-) -> DataFrame:
+def recipes(spark: SparkSession, *, scale: float = 1.0, seed: int = 0) -> DataFrame:
     """Generate the dataset as a Spark DataFrame.
 
     Generation itself is driver-side numpy (118k small rows at scale 1.0 —
@@ -199,10 +197,7 @@ def recipes(
     arrays so every downstream pipeline runs in the DataFrame/Catalyst layer.
     """
     pdf = recipes_pdf(scale=scale, seed=seed)
-    df = spark.createDataFrame(pdf, schema=RECIPE_SCHEMA)
-    if partitions:
-        df = df.repartition(partitions, "region")
-    return df
+    return spark.createDataFrame(pdf, schema=RECIPE_SCHEMA)
 
 
 def exploded_items(df: DataFrame) -> DataFrame:

@@ -11,6 +11,8 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+ITEM_COLUMNS = ("ingredients", "processes", "utensils")
+
 
 def region_counts(recipes: DataFrame) -> DataFrame:
     """(region, n_recipes) — Table I column 2."""
@@ -19,52 +21,37 @@ def region_counts(recipes: DataFrame) -> DataFrame:
     )
 
 
-def unique_items_exploded(recipes: DataFrame) -> DataFrame:
-    """One row: distinct ingredient / process / utensil counts, via
-    explode + distinct."""
-    counts = []
-    for col in ("ingredients", "processes", "utensils"):
-        c = (
-            recipes.select(F.explode(col).alias("item"))
-            .distinct()
-            .agg(F.count(F.lit(1)).alias(f"unique_{col}"))
-        )
-        counts.append(c)
-    out = counts[0]
-    for c in counts[1:]:
-        out = out.crossJoin(c)
-    return out
-
-
-def avg_items_per_recipe(recipes: DataFrame) -> DataFrame:
-    """Average ingredients / processes / utensils per recipe (paper: ~10,
-    ~12, ~3)."""
-    return recipes.agg(
-        F.avg(F.size("ingredients")).alias("avg_ingredients"),
-        F.avg(F.size("processes")).alias("avg_processes"),
-        F.avg(F.size("utensils")).alias("avg_utensils"),
+def _tagged(column: str):
+    """``column``'s items as (column, item) structs."""
+    return F.transform(
+        column, lambda x: F.struct(F.lit(column).alias("column"), x.alias("item"))
     )
 
 
-def recipes_without_utensils(recipes: DataFrame) -> int:
-    """Count of recipes with no utensil information (paper: 14,601)."""
-    return recipes.filter(F.size("utensils") == 0).count()
-
-
 def dataset_summary(recipes: DataFrame) -> pd.DataFrame:
-    """All Section-III stats as one tidy pandas frame (metric, value)."""
-    total = recipes.count()
-    uniq = unique_items_exploded(recipes).first()
-    avgs = avg_items_per_recipe(recipes).first()
-    no_ut = recipes_without_utensils(recipes)
-    rows = [
-        ("total_recipes", total),
-        ("unique_ingredients", uniq["unique_ingredients"]),
-        ("unique_processes", uniq["unique_processes"]),
-        ("unique_utensils", uniq["unique_utensils"]),
-        ("avg_ingredients", round(avgs["avg_ingredients"], 2)),
-        ("avg_processes", round(avgs["avg_processes"], 2)),
-        ("avg_utensils", round(avgs["avg_utensils"], 2)),
-        ("recipes_without_utensils", no_ut),
-    ]
-    return pd.DataFrame(rows, columns=["metric", "value"])
+    """All Section-III stats as one tidy pandas frame (metric, value).
+
+    Two queries: one aggregation over the recipes (total, average list
+    sizes, recipes without utensils) and one distinct count over every
+    exploded item, grouped by the column it came from.
+    """
+    sizes = recipes.agg(
+        F.count(F.lit(1)).alias("total"),
+        *[F.avg(F.size(c)).alias(c) for c in ITEM_COLUMNS],
+        F.sum((F.size("utensils") == 0).cast("long")).alias("no_utensils"),
+    ).first()
+    uniq = dict(
+        recipes.select(
+            F.explode(F.concat(*[_tagged(c) for c in ITEM_COLUMNS])).alias("t")
+        )
+        .groupBy("t.column")
+        .agg(F.countDistinct("t.item"))
+        .collect()
+    )
+    return pd.DataFrame(
+        [("total_recipes", sizes["total"])]
+        + [(f"unique_{c}", uniq.get(c, 0)) for c in ITEM_COLUMNS]
+        + [(f"avg_{c}", round(sizes[c], 2)) for c in ITEM_COLUMNS]
+        + [("recipes_without_utensils", sizes["no_utensils"])],
+        columns=["metric", "value"],
+    )

@@ -12,6 +12,7 @@ import pytest
 
 from repro.cluster.distance import condensed_index, pdist, squareform
 from repro.core.fihc import fihc
+from repro.mining.spark_fpm import MINED_SCHEMA
 from repro.recipedb.vocab import REGIONS
 
 
@@ -99,3 +100,18 @@ def test_soy_family_clusters_in_features(fihc_result):
     for metric in ("euclidean", "cosine", "jaccard"):
         D = squareform(pdist(X, metric), 26)
         assert D[i["Japanese"], i["Korean"]] < D[i["Japanese"], i["Mexican"]]
+
+
+def test_fihc_names_cuisines_that_mined_nothing(spark, recipes_small):
+    """A cuisine without patterns has an all-zero feature row; fihc stops
+    before any distance is computed and names every such cuisine."""
+    missing = ("Korean", "Thai")
+    mined = spark.createDataFrame(
+        [(r, ["salt"], 1, 0.5) for r in REGIONS if r not in missing],
+        schema=MINED_SCHEMA,
+    )
+    with pytest.raises(ValueError, match="2 cuisine") as err:
+        fihc(recipes_small, mined=mined)
+    for region in missing:
+        assert region in str(err.value)
+    assert "Japanese" not in str(err.value)

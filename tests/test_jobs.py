@@ -10,15 +10,25 @@ from pathlib import Path
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
 
-def test_table1_job_runs_without_pythonpath(tmp_path):
+def _run_without_pythonpath(job: str, cwd: Path) -> str:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
-        [sys.executable, str(JOBS / "table1.py"), "--scale", "0.01"],
-        cwd=tmp_path,
+        [sys.executable, str(JOBS / job), "--scale", "0.01"],
+        cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
         timeout=600,
     )
     assert proc.returncode == 0, proc.stderr[-4000:]
-    assert "Korean" in proc.stdout
+    return proc.stdout
+
+
+def test_table1_job_runs_without_pythonpath(tmp_path):
+    assert "Korean" in _run_without_pythonpath("table1.py", tmp_path)
+
+
+def test_dataset_stats_job_runs_without_pythonpath(tmp_path):
+    out = _run_without_pythonpath("dataset_stats.py", tmp_path)
+    assert "recipes_without_utensils" in out
+    assert "Korean" in out

@@ -63,8 +63,8 @@ def test_feature_matrix_rejects_empty(spark, mined_small):
 
 
 def test_feature_matrix_zero_row_for_unmined_region(spark):
-    """A region that mined nothing gets an all-zero row (pins today's
-    behaviour; cosine distance on such a row is a separate question)."""
+    """A region that mined nothing gets an all-zero row (``fihc`` is the
+    layer that rejects it)."""
     pdf = pd.DataFrame(
         {
             "region": ["A", "A", "C"],

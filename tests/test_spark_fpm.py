@@ -141,7 +141,7 @@ def test_pattern_support_quoted_item_names(spark):
         ), totals AS (
             SELECT region, count(*) AS n FROM recipes GROUP BY region
         )
-        SELECT t.region, s.pattern, coalesce(f.freq, 0) AS freq,
+        SELECT t.region, t.n AS n_recipes, s.pattern, coalesce(f.freq, 0) AS freq,
                coalesce(f.freq, 0)::DOUBLE / t.n AS support
         FROM totals t CROSS JOIN sizes s
         LEFT JOIN found f ON f.region = t.region AND f.pattern = s.pattern

@@ -1,19 +1,40 @@
 """Section-III dataset statistics (T5), oracle-checked."""
 from __future__ import annotations
 
+import duckdb
+import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.oracle import assert_equivalent
 from repro.recipedb import vocab as V
-from repro.recipedb.stats import (
-    avg_items_per_recipe,
-    dataset_summary,
-    recipes_without_utensils,
-    region_counts,
-    unique_items_exploded,
-)
+from repro.recipedb.generator import RECIPE_SCHEMA
+from repro.recipedb.stats import ITEM_COLUMNS, dataset_summary, region_counts
 from repro.recipedb.vocab import REGIONS
+
+
+@pytest.fixture(scope="module")
+def summary(spark, recipes_small) -> pd.Series:
+    return dataset_summary(recipes_small).set_index("metric")["value"]
+
+
+@pytest.fixture(scope="module")
+def oracle(recipes_small_pdf) -> dict:
+    """The eight Section-III values computed by DuckDB."""
+    sizes = pd.DataFrame({c: recipes_small_pdf[c].map(len) for c in ITEM_COLUMNS})
+    long = {c: recipes_small_pdf[[c]].explode(c).dropna() for c in ITEM_COLUMNS}
+    sql = "SELECT count(*) AS total_recipes, " + ", ".join(
+        [f"(SELECT count(DISTINCT {c}) FROM {c}) AS unique_{c}" for c in ITEM_COLUMNS]
+        + [f"round(avg({c}), 2) AS avg_{c}" for c in ITEM_COLUMNS]
+        + ["count(*) FILTER (WHERE utensils = 0) AS recipes_without_utensils"]
+    ) + " FROM sizes"
+    con = duckdb.connect()
+    try:
+        con.register("sizes", sizes)
+        for c, t in long.items():
+            con.register(c, t)
+        return con.execute(sql).fetchdf().iloc[0].to_dict()
+    finally:
+        con.close()
 
 
 def test_region_counts_oracle(spark, recipes_small, recipes_small_pdf):
@@ -33,59 +54,68 @@ def test_region_counts_scaled(spark, recipes_small):
         assert counts[region] == expected
 
 
-def test_unique_counts_two_impls_agree(spark, recipes_small, recipes_small_pdf):
-    """Spark's explode + distinct agrees with DuckDB's count(DISTINCT)."""
-    cols = ("ingredients", "processes", "utensils")
-    long = {c: recipes_small_pdf[[c]].explode(c).dropna() for c in cols}
-    assert_equivalent(
-        unique_items_exploded(recipes_small),
-        "SELECT "
-        + ", ".join(
-            f"(SELECT count(DISTINCT {c}) FROM {c}) AS unique_{c}" for c in cols
-        ),
-        **long,
-    )
+def test_unique_counts_two_impls_agree(summary, oracle):
+    """Spark's tagged explode + countDistinct agrees with DuckDB's
+    count(DISTINCT) per column."""
+    for c in ITEM_COLUMNS:
+        assert summary[f"unique_{c}"] == oracle[f"unique_{c}"]
 
 
-def test_unique_counts_within_universe(spark, recipes_small):
-    u = unique_items_exploded(recipes_small).first()
-    assert 0 < u["unique_ingredients"] <= V.N_UNIQUE_INGREDIENTS
-    assert 0 < u["unique_processes"] <= V.N_UNIQUE_PROCESSES
-    assert 0 < u["unique_utensils"] <= V.N_UNIQUE_UTENSILS
+def test_unique_counts_within_universe(summary):
+    assert 0 < summary["unique_ingredients"] <= V.N_UNIQUE_INGREDIENTS
+    assert 0 < summary["unique_processes"] <= V.N_UNIQUE_PROCESSES
+    assert 0 < summary["unique_utensils"] <= V.N_UNIQUE_UTENSILS
 
 
-def test_unique_processes_near_universe_at_test_scale(spark, recipes_small):
+def test_unique_processes_near_universe_at_test_scale(summary):
     """268 processes is small enough that even the test-scale dataset
     should cover nearly all of them."""
-    u = unique_items_exploded(recipes_small).first()
-    assert u["unique_processes"] >= 0.9 * V.N_UNIQUE_PROCESSES
-    assert u["unique_utensils"] >= 0.9 * V.N_UNIQUE_UTENSILS
+    assert summary["unique_processes"] >= 0.9 * V.N_UNIQUE_PROCESSES
+    assert summary["unique_utensils"] >= 0.9 * V.N_UNIQUE_UTENSILS
 
 
-def test_avg_items_oracle(spark, recipes_small, recipes_small_pdf):
-    got = avg_items_per_recipe(recipes_small)
-    pdf = recipes_small_pdf.copy()
-    pdf["n_ing"] = pdf["ingredients"].map(len)
-    pdf["n_proc"] = pdf["processes"].map(len)
-    pdf["n_ut"] = pdf["utensils"].map(len)
-    assert_equivalent(
-        got,
-        """SELECT avg(n_ing) AS avg_ingredients, avg(n_proc) AS avg_processes,
-                  avg(n_ut) AS avg_utensils FROM base""",
-        base=pdf[["n_ing", "n_proc", "n_ut"]],
-    )
+def test_avg_items_oracle(summary, oracle):
+    for c in ITEM_COLUMNS:
+        assert summary[f"avg_{c}"] == oracle[f"avg_{c}"]
 
 
-def test_recipes_without_utensils_fraction(spark, recipes_small):
-    n = recipes_small.count()
-    frac = recipes_without_utensils(recipes_small) / n
+def test_recipes_without_utensils_fraction(summary):
+    frac = summary["recipes_without_utensils"] / summary["total_recipes"]
     assert frac == pytest.approx(V.UTENSIL_DROPOUT, abs=0.03)
 
 
-def test_dataset_summary_contents(spark, recipes_small):
-    s = dataset_summary(recipes_small).set_index("metric")["value"]
-    assert s["total_recipes"] == recipes_small.count()
-    assert 7 <= s["avg_ingredients"] <= 14
-    assert 8 <= s["avg_processes"] <= 16
-    assert 1.5 <= s["avg_utensils"] <= 4.5
-    assert s["recipes_without_utensils"] > 0
+def test_dataset_summary_contents(summary, oracle):
+    """The eight metrics in the paper's order; the two recipe counts equal
+    DuckDB's (the other six are checked above)."""
+    assert list(summary.index) == list(oracle)
+    for metric in ("total_recipes", "recipes_without_utensils"):
+        assert summary[metric] == oracle[metric]
+    assert 7 <= summary["avg_ingredients"] <= 14
+    assert 8 <= summary["avg_processes"] <= 16
+    assert 1.5 <= summary["avg_utensils"] <= 4.5
+    assert summary["recipes_without_utensils"] > 0
+
+
+def test_dataset_summary_without_any_utensils(spark):
+    """A column with no items at all reports 0 distinct items."""
+    pdf = pd.DataFrame(
+        {
+            "region": ["A", "A", "B"],
+            "recipe_id": [0, 1, 2],
+            "ingredients": [["salt", "egg"], ["salt"], ["rice"]],
+            "processes": [["boil"], ["boil", "fry"], []],
+            "utensils": [[], [], []],
+            "items": [["salt", "egg", "boil"], ["salt", "boil", "fry"], ["rice"]],
+        }
+    )
+    s = dataset_summary(spark.createDataFrame(pdf, RECIPE_SCHEMA))
+    assert s.set_index("metric")["value"].to_dict() == {
+        "total_recipes": 3,
+        "unique_ingredients": 3,
+        "unique_processes": 2,
+        "unique_utensils": 0,
+        "avg_ingredients": 1.33,
+        "avg_processes": 1.0,
+        "avg_utensils": 0.0,
+        "recipes_without_utensils": 3,
+    }
