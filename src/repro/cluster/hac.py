@@ -1,5 +1,5 @@
 """Hierarchical agglomerative clustering (scipy.cluster.hierarchy
-replacement): Lance–Williams linkage, cophenetic distances, flat cuts,
+replacement): Lance–Williams linkage, cophenetic distances,
 Newick export and an ASCII dendrogram for job output.
 
 Linkage matrices follow scipy's convention: row t = [a, b, height, size]
@@ -89,31 +89,6 @@ def cophenetic(Z: np.ndarray) -> np.ndarray:
                 coph[x, y] = coph[y, x] = h
         members[n + t] = ma + mb
     return condense(coph)
-
-
-def cut(Z: np.ndarray, k: int) -> np.ndarray:
-    """Flat cluster labels for k clusters (apply the first n-k merges)."""
-    n = Z.shape[0] + 1
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}]")
-    parent = list(range(n + Z.shape[0]))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for t in range(n - k):
-        a, b = int(Z[t, 0]), int(Z[t, 1])
-        ra, rb = find(a), find(b)
-        parent[ra] = parent[rb] = n + t
-    roots: dict[int, int] = {}
-    labels = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        r = find(i)
-        labels[i] = roots.setdefault(r, len(roots))
-    return labels
 
 
 def to_newick(Z: np.ndarray, labels: list[str]) -> str:

@@ -36,20 +36,17 @@ class AuthenticityResult:
 def authenticity_clustering(
     recipes: DataFrame,
     *,
-    column: str = "ingredients",
     norm: str = "cuisine",
-    metric: str = "euclidean",
-    method: str = "average",
 ) -> AuthenticityResult:
     """Cluster cuisines by relative ingredient prevalence (paper Fig 5:
-    "Authenticity of Ingredients")."""
-    rel, items = authenticity_matrix(recipes, REGIONS, column=column, norm=norm)
-    Z = linkage(pdist(rel, metric), method=method)
-    geo = geo_tree(REGIONS, method=method)
+    "Authenticity of Ingredients"): Euclidean distance, average linkage."""
+    rel, items = authenticity_matrix(recipes, REGIONS, norm=norm)
+    Z = linkage(pdist(rel, "euclidean"))
+    geo = geo_tree(REGIONS)
     scores = pd.DataFrame(
         [
             {
-                "metric": f"authenticity-{metric}",
+                "metric": "authenticity-euclidean",
                 "cophenetic_corr_vs_geo": round(cophenetic_correlation(Z, geo), 4),
                 "triplet_agreement_vs_geo": round(triplet_agreement(Z, geo), 4),
             }

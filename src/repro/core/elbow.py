@@ -36,14 +36,13 @@ def elbow(
     *,
     min_support: float = MIN_SUPPORT,
     ks: range = range(1, 11),
-    seed: int = 0,
     mined: DataFrame | None = None,
 ) -> ElbowResult:
     """Run the elbow analysis; pass ``mined`` to reuse a mining result."""
     if mined is None:
         mined = mine_all_regions(recipes, min_support)
     features, _ = feature_matrix(mined, REGIONS)
-    curve = wcss_curve(features, ks, seed=seed)
+    curve = wcss_curve(features, ks)
     strength = knee_strength(curve)
     return ElbowResult(
         curve=pd.DataFrame(curve, columns=["k", "wcss"]),

@@ -41,11 +41,10 @@ def fihc(
     recipes: DataFrame,
     *,
     min_support: float = MIN_SUPPORT,
-    method: str = "average",
-    metrics: tuple[str, ...] = METRICS,
     mined: DataFrame | None = None,
 ) -> FihcResult:
-    """Run the full FIHC pipeline; pass ``mined`` to reuse a mining result.
+    """Run the full FIHC pipeline (average linkage, every metric in
+    ``METRICS``); pass ``mined`` to reuse a mining result.
 
     Raises ``ValueError`` naming every cuisine that mined no pattern: its
     all-zero feature row has no cosine distance, and Jaccard would put all
@@ -60,13 +59,13 @@ def fihc(
             f"no frequent pattern mined for {len(empty)} cuisine(s): "
             f"{', '.join(empty)}; lower min_support"
         )
-    geo = geo_tree(REGIONS, method=method)
+    geo = geo_tree(REGIONS)
     trees: dict[str, np.ndarray] = {}
     newicks: dict[str, str] = {}
     rows = []
     probes: dict[str, dict[str, bool]] = {}
-    for metric in metrics:
-        Z = linkage(pdist(X, metric), method=method)
+    for metric in METRICS:
+        Z = linkage(pdist(X, metric))
         trees[metric] = Z
         newicks[metric] = to_newick(Z, REGIONS)
         rows.append(

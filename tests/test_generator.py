@@ -1,6 +1,8 @@
 """Generator invariants — pandas level (fast, no Spark) and Spark level."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from repro.recipedb.generator import (
     _scaled_n,
     _tempered_weights,
     cuisine_pdf,
-    exploded_items,
     recipes_pdf,
 )
 from repro.recipedb.vocab import PROFILES, REGIONS, item_type
@@ -36,6 +37,31 @@ def test_different_seed_differs():
     a = cuisine_pdf("Korean", scale=0.3, seed=3)
     b = cuisine_pdf("Korean", scale=0.3, seed=4)
     assert a["items"].map(tuple).tolist() != b["items"].map(tuple).tolist()
+
+
+def _fingerprint(pdf) -> str:
+    """First 16 hex digits of sha256 over the frame's rows in frame order,
+    one tab-separated line per recipe with ``|``-joined item lists."""
+    h = hashlib.sha256()
+    for row in pdf.itertuples(index=False):
+        lists = (row.ingredients, row.processes, row.utensils, row.items)
+        cells = [row.region, str(row.recipe_id), *("|".join(x) for x in lists)]
+        h.update(("\t".join(cells) + "\n").encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "scale, seed, expected",
+    [
+        (0.05, 0, "f1b5b8a9b6e478b6"),
+        (0.05, 5, "ce6fd6a9e8292f2b"),
+        (1.0, 0, "d9caf311680e593e"),
+    ],
+)
+def test_dataset_fingerprint_pinned(scale, seed, expected):
+    """The dataset is pinned cell for cell: row order, ids, typed columns and
+    items (a dropout recipe that kept a utensil item changes the hash)."""
+    assert _fingerprint(recipes_pdf(scale=scale, seed=seed)) == expected
 
 
 def test_scaled_n_floor():
@@ -161,30 +187,3 @@ def test_spark_roundtrip_matches_pandas(spark, recipes_small, recipes_small_pdf)
         "utensils",
         "items",
     ]
-
-
-def test_exploded_items_count(spark, recipes_small, recipes_small_pdf):
-    total_items = int(recipes_small_pdf["items"].map(len).sum())
-    assert exploded_items(recipes_small).count() == total_items
-
-
-def test_exploded_items_oracle(spark, recipes_small, recipes_small_pdf):
-    """Spark per-region item frequencies == DuckDB over the exploded long
-    table (result-equality oracle on a real aggregation)."""
-    import pandas as pd
-    from pyspark.sql import functions as F
-
-    from repro.oracle import assert_equivalent
-
-    long_pdf = recipes_small_pdf[["region", "recipe_id", "items"]].explode("items")
-    long_pdf = long_pdf.rename(columns={"items": "item"})
-    got = (
-        exploded_items(recipes_small)
-        .groupBy("region")
-        .agg(F.count(F.lit(1)).alias("n_items"))
-    )
-    assert_equivalent(
-        got,
-        "SELECT region, count(*) AS n_items FROM long GROUP BY region",
-        long=long_pdf,
-    )

@@ -1,5 +1,5 @@
 """HAC substrate: hand-computed linkages, scipy-convention compliance,
-cophenetic / cut / newick / ascii rendering."""
+cophenetic / newick / ascii rendering."""
 from __future__ import annotations
 
 import numpy as np
@@ -10,7 +10,6 @@ from repro.cluster.hac import (
     METHODS,
     ascii_dendrogram,
     cophenetic,
-    cut,
     linkage,
     to_newick,
 )
@@ -116,28 +115,6 @@ def test_cophenetic_is_ultrametric():
         for j in range(10):
             for k in range(10):
                 assert C[i, j] <= max(C[i, k], C[k, j]) + 1e-9
-
-
-def test_cut_counts():
-    Z = linkage(_cond(LINE), "single")
-    for k in range(1, 5):
-        labels = cut(Z, k)
-        assert len(set(labels)) == k
-
-
-def test_cut_respects_structure():
-    Z = linkage(_cond(LINE), "single")
-    labels = cut(Z, 2)
-    assert labels[0] == labels[1] == labels[2]
-    assert labels[3] != labels[0]
-
-
-def test_cut_bad_k():
-    Z = linkage(_cond(LINE), "single")
-    with pytest.raises(ValueError):
-        cut(Z, 0)
-    with pytest.raises(ValueError):
-        cut(Z, 5)
 
 
 def test_newick_wellformed():

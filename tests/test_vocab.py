@@ -105,6 +105,14 @@ def test_tail_pools_exclude_fixed_items(region):
     assert not fixed & set(V.tail_utensil_pool(region))
 
 
+@ALL_REGIONS
+def test_tail_pools_typed_by_construction(region):
+    """The generator types tail items by their pool, not per item."""
+    assert {item_type(i) for i in V.tail_ingredient_pool(region)} == {"ingredient"}
+    assert {item_type(i) for i in V.tail_process_pool(region)} == {"process"}
+    assert {item_type(i) for i in V.tail_utensil_pool(region)} == {"utensil"}
+
+
 def test_universe_sizes_match_paper():
     assert len(V.ingredient_universe()) == V.N_UNIQUE_INGREDIENTS == 20_280
     assert len(V.process_universe()) == V.N_UNIQUE_PROCESSES == 268
