@@ -1,5 +1,5 @@
 """Benchmark fixtures: the full-scale (scale=1.0 == 118k-recipe) synthetic
-RecipeDB and its mining result, shared across benchmark modules."""
+RecipeDB, as a cached Spark DataFrame and collected to pandas."""
 from __future__ import annotations
 
 import pytest
@@ -22,12 +22,3 @@ def recipes_full(spark):
 def recipes_full_pdf(recipes_full):
     return recipes_full.toPandas()
 
-
-@pytest.fixture(scope="session")
-def mined_full(spark, recipes_full):
-    from repro.mining.spark_fpm import mine_all_regions
-
-    df = mine_all_regions(recipes_full, 0.2).cache()
-    df.count()
-    yield df
-    df.unpersist()

@@ -1,13 +1,10 @@
-"""Shared plumbing for spark-submit entrypoints.
-
-Each job builds (or reuses) a SparkSession, generates the synthetic
-RecipeDB at the requested scale, runs one pipeline, and prints the table
-that reproduces the corresponding paper artifact.
+"""Shared plumbing for the spark-submit entrypoint ``experiments.py``: the
+SparkSession and the ``--scale/--seed/--min-support`` arguments.
 
 Importing this module makes ``repro`` importable without ``pip install``:
 it puts the checkout's ``src/`` on the driver's ``sys.path`` and on
-``PYTHONPATH``, which Spark passes to its Python workers. Jobs import it
-before ``repro`` and before any session starts.
+``PYTHONPATH``, which Spark passes to its Python workers. The entrypoint
+imports it before ``repro`` and before any session starts.
 """
 from __future__ import annotations
 

@@ -1,5 +1,5 @@
-"""Run every reproduction harness at full scale and print all tables —
-the source of the measured numbers recorded in EXPERIMENTS.md.
+"""Run every reproduction harness at full scale and print all tables and
+trees — the source of the measured numbers recorded in EXPERIMENTS.md.
 
     spark-submit jobs/experiments.py [--scale 1.0] [--seed 0]
 """
@@ -9,11 +9,12 @@ import time
 
 from _common import base_parser, build_session
 
-from repro.cluster.hac import ascii_dendrogram
+from repro.authenticity.prevalence import top_authentic_items
+from repro.cluster.hac import ascii_dendrogram, to_newick
 from repro.core.authenticity import authenticity_clustering
 from repro.core.elbow import elbow
 from repro.core.fihc import fihc
-from repro.core.table1 import table1
+from repro.core.table1 import format_table1, table1
 from repro.geo.regions import geo_tree
 from repro.mining.spark_fpm import mine_all_regions
 from repro.recipedb.generator import recipes
@@ -39,6 +40,8 @@ def main() -> None:
     print("\n########## T1: Table I ##########")
     t1 = table1(df, min_support=args.min_support)
     print(t1.to_string(index=False))
+    print()
+    print(format_table1(t1))
 
     print("\n########## T2: elbow / Fig 1 ##########")
     er = elbow(df, mined=mined)
@@ -58,14 +61,22 @@ def main() -> None:
     ar = authenticity_clustering(df)
     print(ar.geo_scores.to_string(index=False))
     print("probes:", ar.probes)
+    print("top authentic ingredients per cuisine:")
+    tops = top_authentic_items(ar.matrix, ar.items, REGIONS, k=3)
+    print(tops[tops["side"] == "most"].to_string(index=False))
 
     print("\n########## trees ##########")
+    geo = geo_tree(REGIONS)
     print("--- geographic reference (Fig 6) ---")
-    print(ascii_dendrogram(geo_tree(REGIONS), REGIONS))
-    print("--- FIHC euclidean (Fig 2) ---")
-    print(ascii_dendrogram(fr.trees["euclidean"], REGIONS))
+    print(ascii_dendrogram(geo, REGIONS))
+    print("newick:", to_newick(geo, REGIONS))
+    for metric, Z in fr.trees.items():
+        print(f"--- FIHC {metric} (Figs 2-4) ---")
+        print(ascii_dendrogram(Z, REGIONS))
+        print("newick:", fr.newicks[metric])
     print("--- authenticity (Fig 5) ---")
     print(ascii_dendrogram(ar.tree, REGIONS))
+    print("newick:", ar.newick)
     spark.stop()
 
 

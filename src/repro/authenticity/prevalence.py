@@ -1,14 +1,14 @@
 """Authenticity metric (paper Section V-B; Ahn et al. 2011).
 
-Prevalence of item *i* in cuisine *c*:
+Prevalence of ingredient *i* in cuisine *c*:
 
     P_i^c = n_i^c / N_c                                   (eq. 1)
 
 where ``n_i^c`` is the number of recipes of cuisine *c* containing *i* and
 ``N_c`` the number of recipes in the cuisine. (The paper's prose says
 "total number of recipes in the dataset", but the cited Ahn et al. metric
-— and any scale-invariant reading — normalises per cuisine; we default to
-per-cuisine and expose ``norm='dataset'`` for the literal reading.)
+— and any scale-invariant reading — normalises per cuisine, which is what
+is implemented.)
 
 Relative prevalence (authenticity):
 
@@ -16,92 +16,61 @@ Relative prevalence (authenticity):
 
 i.e. the item's prevalence in *c* minus its mean prevalence over all other
 cuisines. Both the most positive and most negative entries fingerprint a
-cuisine. Computed with Spark aggregations; densified to a cuisine ×
-ingredient matrix on the driver for HAC.
+cuisine. Spark does the one large step, a (region, ingredient) count over
+the ~1.2M exploded ingredient rows; the per-cuisine totals come from
+``stats.region_counts``. The 26 × ingredient matrix and eq. 2 are NumPy on
+the driver.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from ..recipedb.stats import region_counts
 
 
 def prevalence(
-    recipes: DataFrame, column: str = "ingredients", norm: str = "cuisine"
-) -> DataFrame:
-    """(region, item, n_recipes_with_item, prevalence).
+    recipes: DataFrame, regions: list[str]
+) -> tuple[np.ndarray, list[str]]:
+    """Dense cuisine × ingredient prevalence matrix P (eq. 1).
 
-    ``norm='cuisine'``: divide by the cuisine's recipe count (default).
-    ``norm='dataset'``: divide by the total recipe count (paper's literal
-    eq. 1 text).
+    Rows follow ``regions``; columns are the sorted ingredient vocabulary.
+    An ingredient a cuisine never uses has prevalence 0 there.
     """
-    if norm not in ("cuisine", "dataset"):
-        raise ValueError(f"unknown norm: {norm!r}")
-    long = recipes.select("region", "recipe_id", F.explode(column).alias("item"))
-    counts = long.groupBy("region", "item").agg(
-        F.count(F.lit(1)).alias("n_recipes_with_item")
+    counts = (
+        recipes.select("region", F.explode("ingredients").alias("item"))
+        .groupBy("region", "item")
+        .count()
+        .toPandas()
     )
-    if norm == "cuisine":
-        counts = counts.join(region_counts(recipes), "region")
-        n_total = F.col("n_recipes")
-    else:
-        n_total = F.lit(recipes.count())
-    return counts.select(
-        "region",
-        "item",
-        "n_recipes_with_item",
-        (F.col("n_recipes_with_item") / n_total).alias("prevalence"),
+    totals = region_counts(recipes).toPandas().set_index("region")["n_recipes"]
+    row = pd.Categorical(counts["region"], categories=regions).codes
+    if (row < 0).any():
+        unknown = sorted(set(counts["region"]) - set(regions))
+        raise ValueError(f"recipes from regions not in `regions`: {unknown}")
+    item = pd.Categorical(counts["item"])
+    P = np.zeros((len(regions), len(item.categories)), dtype=np.float64)
+    P[row, item.codes] = (
+        counts["count"].to_numpy() / totals.reindex(regions).to_numpy()[row]
     )
-
-
-def relative_prevalence(prev: DataFrame, n_regions: int) -> DataFrame:
-    """Authenticity p_i^c = P_i^c - mean_{k != c} P_i^k.
-
-    Items absent from a cuisine count as prevalence 0 there, so the mean
-    over "other cuisines" divides the sum of *other* cuisines' prevalences
-    by ``n_regions - 1`` regardless of sparsity — done with a window over
-    each item, no densification in Spark.
-    """
-    w = Window.partitionBy("item")
-    return prev.withColumn(
-        "relative_prevalence",
-        F.col("prevalence")
-        - (F.sum("prevalence").over(w) - F.col("prevalence"))
-        / F.lit(float(n_regions - 1)),
-    ).select("region", "item", "prevalence", "relative_prevalence")
+    return P, list(item.categories)
 
 
 def authenticity_matrix(
-    recipes: DataFrame,
-    regions: list[str],
-    column: str = "ingredients",
-    norm: str = "cuisine",
+    recipes: DataFrame, regions: list[str]
 ) -> tuple[np.ndarray, list[str]]:
-    """Dense cuisine × item relative-prevalence matrix.
+    """Dense cuisine × ingredient relative-prevalence matrix (eq. 2).
 
-    Rows follow ``regions``; columns are the sorted item vocabulary. An
-    item absent from cuisine c gets P_i^c = 0 but still a (negative)
+    Rows follow ``regions``; columns are the sorted ingredient vocabulary.
+    An item absent from cuisine c gets P_i^c = 0 but still a (negative)
     relative prevalence — "least prevalent items contribute to the culinary
     fingerprint" (Section V-B) — which the dense form represents exactly.
     """
-    prev_pdf = prevalence(recipes, column=column, norm=norm).toPandas()
-    items = sorted(prev_pdf["item"].unique())
-    item_idx = {it: j for j, it in enumerate(items)}
-    reg_idx = {r: i for i, r in enumerate(regions)}
-    P = np.zeros((len(regions), len(items)), dtype=np.float64)
-    for region, item, p in zip(
-        prev_pdf["region"], prev_pdf["item"], prev_pdf["prevalence"]
-    ):
-        P[reg_idx[region], item_idx[item]] = p
-    n = len(regions)
-    # p_i^c = P_i^c - (sum_k P_i^k - P_i^c) / (n - 1), vectorised over the
-    # dense matrix — identical to the Spark window formula plus the implicit
-    # zero rows.
-    col_sums = P.sum(axis=0, keepdims=True)
-    rel = P - (col_sums - P) / (n - 1)
+    P, items = prevalence(recipes, regions)
+    # p_i^c = P_i^c - (sum_k P_i^k - P_i^c) / (n - 1)
+    rel = P - (P.sum(axis=0, keepdims=True) - P) / (len(regions) - 1)
     return rel, items
 
 

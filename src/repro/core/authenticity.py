@@ -33,14 +33,10 @@ class AuthenticityResult:
     probes: dict[str, bool]
 
 
-def authenticity_clustering(
-    recipes: DataFrame,
-    *,
-    norm: str = "cuisine",
-) -> AuthenticityResult:
+def authenticity_clustering(recipes: DataFrame) -> AuthenticityResult:
     """Cluster cuisines by relative ingredient prevalence (paper Fig 5:
     "Authenticity of Ingredients"): Euclidean distance, average linkage."""
-    rel, items = authenticity_matrix(recipes, REGIONS, norm=norm)
+    rel, items = authenticity_matrix(recipes, REGIONS)
     Z = linkage(pdist(rel, "euclidean"))
     geo = geo_tree(REGIONS)
     scores = pd.DataFrame(

@@ -71,8 +71,6 @@ def geo_condensed(regions: list[str] | None = None) -> np.ndarray:
     return np.asarray(out, dtype=np.float64)
 
 
-def geo_tree(
-    regions: list[str] | None = None, method: str = "average"
-) -> np.ndarray:
-    """The Figure-6 reference: HAC linkage over geographic distance."""
-    return linkage(geo_condensed(regions), method=method)
+def geo_tree(regions: list[str] | None = None) -> np.ndarray:
+    """The Figure-6 reference: average-linkage HAC over geographic distance."""
+    return linkage(geo_condensed(regions))

@@ -67,7 +67,3 @@ def test_raw_distance_families(auth_result):
     assert D[i["Greek"], i["Italian"]] < D[i["Greek"], i["Japanese"]]
     assert D[i["UK"], i["Irish"]] < D[i["UK"], i["Thai"]]
 
-
-def test_dataset_norm_variant_runs(spark, recipes_small):
-    res = authenticity_clustering(recipes_small, norm="dataset")
-    assert res.tree.shape == (25, 4)

@@ -1,4 +1,4 @@
-"""The spark-submit entrypoints run from a checkout without installing
+"""The reproduction entrypoint runs from a checkout without installing
 ``repro``: the driver and Spark's Python workers both import it."""
 from __future__ import annotations
 
@@ -9,26 +9,33 @@ from pathlib import Path
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 
+SECTIONS = [
+    "T5: dataset statistics",
+    "T1: Table I",
+    "T2: elbow",
+    "T3: FIHC",
+    "T4: authenticity",
+    "trees",
+]
 
-def _run_without_pythonpath(job: str, cwd: Path) -> str:
+
+def test_experiments_job_runs_without_pythonpath(tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
-        [sys.executable, str(JOBS / job), "--scale", "0.01"],
-        cwd=cwd,
+        [sys.executable, str(JOBS / "experiments.py"), "--scale", "0.01"],
+        cwd=tmp_path,
         env=env,
         capture_output=True,
         text=True,
         timeout=600,
     )
     assert proc.returncode == 0, proc.stderr[-4000:]
-    return proc.stdout
-
-
-def test_table1_job_runs_without_pythonpath(tmp_path):
-    assert "Korean" in _run_without_pythonpath("table1.py", tmp_path)
-
-
-def test_dataset_stats_job_runs_without_pythonpath(tmp_path):
-    out = _run_without_pythonpath("dataset_stats.py", tmp_path)
+    out = proc.stdout
+    for section in SECTIONS:
+        assert f"########## {section}" in out, section
     assert "recipes_without_utensils" in out
     assert "Korean" in out
+    assert "| Region | Recipes (paper) |" in out  # Table I as markdown
+    assert "top authentic ingredients per cuisine" in out
+    # geographic, three FIHC and authenticity trees
+    assert out.count("newick:") == 5

@@ -1,7 +1,8 @@
-"""Authenticity prevalence: Spark aggregations vs DuckDB oracle, relative
-prevalence identities, dense matrix correctness."""
+"""Authenticity prevalence: the dense prevalence matrix vs a DuckDB oracle,
+relative prevalence vs a per-item loop reference, dense matrix correctness."""
 from __future__ import annotations
 
+import duckdb
 import numpy as np
 import pandas as pd
 import pytest
@@ -9,10 +10,8 @@ import pytest
 from repro.authenticity.prevalence import (
     authenticity_matrix,
     prevalence,
-    relative_prevalence,
     top_authentic_items,
 )
-from repro.oracle import assert_equivalent
 from repro.recipedb.vocab import REGIONS
 
 
@@ -26,61 +25,92 @@ def long_ingredients(recipes_small_pdf) -> pd.DataFrame:
     )
 
 
-def test_prevalence_oracle_cuisine_norm(spark, recipes_small, long_ingredients, recipes_small_pdf):
-    got = prevalence(recipes_small, "ingredients", norm="cuisine")
+@pytest.fixture(scope="module")
+def prev_small(spark, recipes_small):
+    return prevalence(recipes_small, REGIONS)
+
+
+def test_prevalence_oracle_cuisine_norm(prev_small, long_ingredients, recipes_small_pdf):
+    """Every nonzero entry of the dense P equals DuckDB's per-cuisine
+    count(*) / N_c, and every other entry is 0."""
+    P, items = prev_small
     totals = recipes_small_pdf.groupby("region").size().reset_index(name="n_total")
-    sql = """
-        SELECT l.region, l.item,
-               count(*) AS n_recipes_with_item,
-               count(*) / any_value(t.n_total) AS prevalence
-        FROM long l JOIN totals t ON l.region = t.region
-        GROUP BY l.region, l.item
-    """
-    assert_equivalent(got, sql, long=long_ingredients, totals=totals)
+    con = duckdb.connect()
+    try:
+        con.register("long", long_ingredients)
+        con.register("totals", totals)
+        expected = con.execute(
+            """
+            SELECT l.region, l.item, count(*) / any_value(t.n_total) AS prevalence
+            FROM long l JOIN totals t ON l.region = t.region
+            GROUP BY l.region, l.item
+            """
+        ).fetchdf()
+    finally:
+        con.close()
+    assert items == sorted(set(expected["item"]))
+    col = {it: j for j, it in enumerate(items)}
+    want = np.zeros((len(REGIONS), len(items)))
+    want[
+        [REGIONS.index(r) for r in expected["region"]],
+        [col[it] for it in expected["item"]],
+    ] = expected["prevalence"]
+    np.testing.assert_allclose(P, want, rtol=1e-12, atol=0)
 
 
-def test_prevalence_oracle_dataset_norm(spark, recipes_small, long_ingredients, recipes_small_pdf):
-    got = prevalence(recipes_small, "ingredients", norm="dataset")
-    n = len(recipes_small_pdf)
-    sql = f"""
-        SELECT region, item, count(*) AS n_recipes_with_item,
-               count(*) / {n} AS prevalence
-        FROM long GROUP BY region, item
-    """
-    assert_equivalent(got, sql, long=long_ingredients)
+def test_prevalence_bounds(prev_small):
+    P, _ = prev_small
+    assert ((P >= 0) & (P <= 1)).all()
+    # every vocabulary item is used by at least one cuisine
+    assert (P.max(axis=0) > 0).all()
 
 
-def test_prevalence_bad_norm(spark, recipes_small):
-    with pytest.raises(ValueError):
-        prevalence(recipes_small, norm="nope")
-
-
-def test_prevalence_bounds(spark, recipes_small):
-    pdf = prevalence(recipes_small).toPandas()
-    assert (pdf["prevalence"] > 0).all()
-    assert (pdf["prevalence"] <= 1).all()
-
-
-def test_signature_ingredients_prevalent(spark, recipes_small):
+def test_signature_ingredients_prevalent(prev_small):
     """Sanity: Japanese soy sauce prevalence ~ its event probability."""
-    pdf = prevalence(recipes_small).toPandas()
-    row = pdf[(pdf["region"] == "Japanese") & (pdf["item"] == "soy sauce")]
+    P, items = prev_small
     # 120 recipes at test scale -> sd ~ 0.046; 0.1 is a ~2-sigma band.
-    assert float(row["prevalence"].iloc[0]) == pytest.approx(0.462, abs=0.1)
+    p = P[REGIONS.index("Japanese"), items.index("soy sauce")]
+    assert p == pytest.approx(0.462, abs=0.1)
 
 
-def test_relative_prevalence_window_matches_dense(spark, recipes_small):
-    """The Spark window formula and the dense NumPy formula must agree on
-    every (region, item) present in the sparse table."""
-    prev = prevalence(recipes_small)
-    rel_spark = relative_prevalence(prev, 26).toPandas()
-    rel_dense, items = authenticity_matrix(recipes_small, REGIONS)
-    idx = {r: i for i, r in enumerate(REGIONS)}
-    jdx = {it: j for j, it in enumerate(items)}
-    sample = rel_spark.sample(min(3000, len(rel_spark)), random_state=0)
-    for row in sample.itertuples():
-        dense_v = rel_dense[idx[row.region], jdx[row.item]]
-        assert dense_v == pytest.approx(row.relative_prevalence, abs=1e-9)
+def test_relative_prevalence_window_matches_dense(spark, recipes_small, recipes_small_pdf):
+    """Reference for eq. 2: for a sample of items and every cuisine c,
+    P_i^c minus the mean of P_i^k over the other 25 cuisines, by an
+    explicit loop over recipe sets, against the dense NumPy matrix."""
+    rel, items = authenticity_matrix(recipes_small, REGIONS)
+    recipes_of = {
+        region: [set(ing) for ing in group["ingredients"]]
+        for region, group in recipes_small_pdf.groupby("region")
+    }
+
+    def prev(item: str, region: str) -> float:
+        recs = recipes_of[region]
+        return sum(item in r for r in recs) / len(recs)
+
+    rng = np.random.default_rng(0)
+    sample = rng.choice(len(items), size=min(200, len(items)), replace=False)
+    for j in [items.index("soy sauce"), *sample]:
+        for c, region in enumerate(REGIONS):
+            others = [prev(items[j], k) for k in REGIONS if k != region]
+            want = prev(items[j], region) - sum(others) / len(others)
+            assert rel[c, j] == pytest.approx(want, abs=1e-12)
+
+
+def test_authenticity_matrix_follows_region_order(spark, recipes_small, prev_small):
+    """Rows follow ``regions``: the reversed list gives the reversed rows
+    (eq. 2 sums the rows in the other order, hence the tolerance)."""
+    P, items = prev_small
+    P_rev, items_rev = prevalence(recipes_small, REGIONS[::-1])
+    assert items_rev == items
+    assert np.array_equal(P_rev, P[::-1])
+    rel, _ = authenticity_matrix(recipes_small, REGIONS)
+    rel_rev, _ = authenticity_matrix(recipes_small, REGIONS[::-1])
+    np.testing.assert_allclose(rel_rev, rel[::-1], rtol=0, atol=1e-12)
+
+
+def test_prevalence_rejects_unlisted_region(spark, recipes_small):
+    with pytest.raises(ValueError, match="Korean"):
+        prevalence(recipes_small, [r for r in REGIONS if r != "Korean"])
 
 
 def test_relative_prevalence_column_identity():
