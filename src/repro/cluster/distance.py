@@ -20,16 +20,9 @@ import numpy as np
 METRICS = ("euclidean", "cosine", "jaccard")
 
 
-def condensed_index(n: int, i: int, j: int) -> int:
-    """Index of pair (i < j) in the condensed vector of an n×n matrix."""
-    if not 0 <= i < j < n:
-        raise ValueError(f"need 0 <= i < j < n, got i={i} j={j} n={n}")
-    return n * i - (i * (i + 1)) // 2 + (j - i - 1)
-
-
 def condense(sq: np.ndarray) -> np.ndarray:
     """Square matrix -> condensed vector of its strict upper triangle
-    (row-major, the order :func:`condensed_index` numbers)."""
+    (row-major: pairs (0, 1), (0, 2), ..., (1, 2), ...)."""
     return sq[np.triu_indices(sq.shape[0], 1)]
 
 

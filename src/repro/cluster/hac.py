@@ -1,10 +1,10 @@
 """Hierarchical agglomerative clustering (scipy.cluster.hierarchy
-replacement): Lance–Williams linkage, cophenetic distances,
-Newick export and an ASCII dendrogram for job output.
+replacement): average linkage (UPGMA), cophenetic distances, Newick
+export and an ASCII dendrogram for job output.
 
 Linkage matrices follow scipy's convention: row t = [a, b, height, size]
 merges clusters a and b (original points are 0..n-1; the cluster formed at
-row t gets id n+t). Ties break deterministically on the smallest (i, j).
+row t gets id n+t).
 """
 from __future__ import annotations
 
@@ -12,66 +12,36 @@ import numpy as np
 
 from .distance import condense, squareform
 
-METHODS = ("single", "complete", "average", "ward")
 
+def linkage(condensed: np.ndarray) -> np.ndarray:
+    """Average-linkage (UPGMA) clustering of a condensed distance vector.
 
-def linkage(condensed: np.ndarray, method: str = "average") -> np.ndarray:
-    """Agglomerative clustering of a condensed distance vector.
-
-    O(n^3) naive search — n is 26 cuisines here, far below any threshold
-    where the nearest-neighbor-chain algorithm would matter.
+    Each step merges the closest pair of active clusters, breaking ties on
+    the first pair (i < j) in row-major order whose distance is within
+    1e-15 of the minimum. The merged cluster takes slot i, its distances
+    are the size-weighted means of rows i and j, and slot j retires.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     condensed = np.asarray(condensed, dtype=np.float64)
     # Infer n from the condensed length.
     m = len(condensed)
     n = int(round((1 + np.sqrt(1 + 8 * m)) / 2))
     if n * (n - 1) // 2 != m:
         raise ValueError(f"condensed length {m} is not a triangular number")
+    if not np.isfinite(condensed).all():
+        raise ValueError("distances must be finite")
+    # Retired slots and the diagonal hold inf, so they never win the argmin.
     d = squareform(condensed, n)
-    size = {i: 1 for i in range(n)}
-    active = list(range(n))
-    ids = {i: i for i in range(n)}  # position -> current cluster id
+    np.fill_diagonal(d, np.inf)
+    size = np.ones(n)
+    ids = np.arange(n)
     Z = np.zeros((n - 1, 4), dtype=np.float64)
-    next_id = n
     for t in range(n - 1):
-        # Find the closest active pair (deterministic tie-break).
-        best = (np.inf, -1, -1)
-        for ai in range(len(active)):
-            for aj in range(ai + 1, len(active)):
-                i, j = active[ai], active[aj]
-                dij = d[i, j]
-                if dij < best[0] - 1e-15:
-                    best = (dij, ai, aj)
-        dist, ai, aj = best
-        i, j = active[ai], active[aj]
-        ci, cj = ids[i], ids[j]
-        a, b = (ci, cj) if ci < cj else (cj, ci)
-        ni, nj = size[i], size[j]
-        Z[t] = [a, b, dist, ni + nj]
-        # Lance–Williams update: new cluster occupies slot i; j retires.
-        for k in active:
-            if k in (i, j):
-                continue
-            dik, djk = d[i, k], d[j, k]
-            if method == "single":
-                dn = min(dik, djk)
-            elif method == "complete":
-                dn = max(dik, djk)
-            elif method == "average":
-                dn = (ni * dik + nj * djk) / (ni + nj)
-            else:  # ward
-                nk = size[k]
-                dn = np.sqrt(
-                    ((ni + nk) * dik**2 + (nj + nk) * djk**2 - nk * dist**2)
-                    / (ni + nj + nk)
-                )
-            d[i, k] = d[k, i] = dn
-        size[i] = ni + nj
-        ids[i] = next_id
-        next_id += 1
-        active.pop(aj)
+        i, j = divmod(int(np.argmax(d.ravel() <= d.min() + 1e-15)), n)
+        Z[t] = [min(ids[i], ids[j]), max(ids[i], ids[j]), d[i, j], size[i] + size[j]]
+        d[i] = d[:, i] = (size[i] * d[i] + size[j] * d[j]) / (size[i] + size[j])
+        d[j] = d[:, j] = np.inf
+        size[i] += size[j]
+        ids[i] = n + t
     return Z
 
 
@@ -82,11 +52,8 @@ def cophenetic(Z: np.ndarray) -> np.ndarray:
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
     coph = np.zeros((n, n), dtype=np.float64)
     for t in range(n - 1):
-        a, b, h = int(Z[t, 0]), int(Z[t, 1]), Z[t, 2]
-        ma, mb = members.pop(a), members.pop(b)
-        for x in ma:
-            for y in mb:
-                coph[x, y] = coph[y, x] = h
+        ma, mb = members.pop(int(Z[t, 0])), members.pop(int(Z[t, 1]))
+        coph[np.ix_(ma, mb)] = coph[np.ix_(mb, ma)] = Z[t, 2]
         members[n + t] = ma + mb
     return condense(coph)
 
@@ -118,7 +85,7 @@ def ascii_dendrogram(Z: np.ndarray, labels: list[str], width: int = 72) -> str:
 
     order = leaves(n + Z.shape[0] - 1)
     pos = {leaf: i for i, leaf in enumerate(order)}
-    max_h = Z[:, 2].max() if Z.shape[0] else 1.0
+    max_h = Z[:, 2].max(initial=0.0) or 1.0  # all-zero heights: any scale
     label_w = max(len(labels[i]) for i in order) + 1
     grid = [[" "] * width for _ in range(len(order))]
     center: dict[int, tuple[int, int]] = {

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+MAX_ITER = 100  # Lloyd iterations per restart
+TOL = 1e-8      # stop once WCSS improves by no more than this
+
 
 def _kpp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: iteratively pick centers ∝ squared distance."""
@@ -35,8 +38,6 @@ def kmeans(
     *,
     seed: int = 0,
     n_init: int = 5,
-    max_iter: int = 100,
-    tol: float = 1e-8,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Best-of-``n_init`` Lloyd's iterations.
 
@@ -52,7 +53,7 @@ def kmeans(
         centers = _kpp_init(X, k, rng)
         labels = np.zeros(n, dtype=np.int64)
         prev = np.inf
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
             labels = d2.argmin(axis=1)
             wcss = float(d2[np.arange(n), labels].sum())
@@ -63,7 +64,7 @@ def kmeans(
                 else:
                     # Re-seed an empty cluster at the worst-fit point.
                     centers[c] = X[d2[np.arange(n), labels].argmax()]
-            if prev - wcss <= tol:
+            if prev - wcss <= TOL:
                 break
             prev = wcss
         d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(-1)

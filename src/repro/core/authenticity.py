@@ -14,13 +14,8 @@ from pyspark.sql import DataFrame
 from ..authenticity.prevalence import authenticity_matrix
 from ..cluster.distance import pdist
 from ..cluster.hac import linkage, to_newick
-from ..geo.regions import geo_tree
 from ..recipedb.vocab import REGIONS
-from .validate import (
-    cophenetic_correlation,
-    relationship_probes,
-    triplet_agreement,
-)
+from .validate import geo_scores
 
 
 @dataclass
@@ -38,21 +33,12 @@ def authenticity_clustering(recipes: DataFrame) -> AuthenticityResult:
     "Authenticity of Ingredients"): Euclidean distance, average linkage."""
     rel, items = authenticity_matrix(recipes, REGIONS)
     Z = linkage(pdist(rel, "euclidean"))
-    geo = geo_tree(REGIONS)
-    scores = pd.DataFrame(
-        [
-            {
-                "metric": "authenticity-euclidean",
-                "cophenetic_corr_vs_geo": round(cophenetic_correlation(Z, geo), 4),
-                "triplet_agreement_vs_geo": round(triplet_agreement(Z, geo), 4),
-            }
-        ]
-    )
+    scores, probes = geo_scores({"authenticity-euclidean": Z})
     return AuthenticityResult(
         matrix=rel,
         items=items,
         tree=Z,
         newick=to_newick(Z, REGIONS),
         geo_scores=scores,
-        probes=relationship_probes(Z, REGIONS),
+        probes=probes["authenticity-euclidean"],
     )

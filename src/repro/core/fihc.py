@@ -14,15 +14,10 @@ from pyspark.sql import DataFrame
 
 from ..cluster.distance import METRICS, pdist
 from ..cluster.hac import linkage, to_newick
-from ..geo.regions import geo_tree
 from ..mining.patterns import feature_matrix
 from ..mining.spark_fpm import mine_all_regions
 from ..recipedb.vocab import MIN_SUPPORT, REGIONS
-from .validate import (
-    cophenetic_correlation,
-    relationship_probes,
-    triplet_agreement,
-)
+from .validate import geo_scores
 
 
 @dataclass
@@ -59,28 +54,13 @@ def fihc(
             f"no frequent pattern mined for {len(empty)} cuisine(s): "
             f"{', '.join(empty)}; lower min_support"
         )
-    geo = geo_tree(REGIONS)
-    trees: dict[str, np.ndarray] = {}
-    newicks: dict[str, str] = {}
-    rows = []
-    probes: dict[str, dict[str, bool]] = {}
-    for metric in METRICS:
-        Z = linkage(pdist(X, metric))
-        trees[metric] = Z
-        newicks[metric] = to_newick(Z, REGIONS)
-        rows.append(
-            {
-                "metric": metric,
-                "cophenetic_corr_vs_geo": round(cophenetic_correlation(Z, geo), 4),
-                "triplet_agreement_vs_geo": round(triplet_agreement(Z, geo), 4),
-            }
-        )
-        probes[metric] = relationship_probes(Z, REGIONS)
+    trees = {metric: linkage(pdist(X, metric)) for metric in METRICS}
+    scores, probes = geo_scores(trees)
     return FihcResult(
         features=X,
         patterns=patterns,
         trees=trees,
-        newicks=newicks,
-        geo_scores=pd.DataFrame(rows),
+        newicks={metric: to_newick(Z, REGIONS) for metric, Z in trees.items()},
+        geo_scores=scores,
         probes=probes,
     )

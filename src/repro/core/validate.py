@@ -17,9 +17,12 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import pandas as pd
 
-from ..cluster.distance import condensed_index
+from ..cluster.distance import squareform
 from ..cluster.hac import cophenetic
+from ..geo.regions import geo_tree
+from ..recipedb.vocab import REGIONS
 
 
 def cophenetic_correlation(Z1: np.ndarray, Z2: np.ndarray) -> float:
@@ -34,35 +37,26 @@ def cophenetic_correlation(Z1: np.ndarray, Z2: np.ndarray) -> float:
     return float(np.corrcoef(c1, c2)[0, 1])
 
 
-def _closest_pair(coph: np.ndarray, n: int, i: int, j: int, k: int) -> frozenset[int]:
-    """Which pair of {i,j,k} has the smallest cophenetic distance (merges
-    first). Ties return the union of tied pairs so agreement is graded
-    correctly."""
-    pairs = [(i, j), (i, k), (j, k)]
-    d = [coph[condensed_index(n, min(a, b), max(a, b))] for a, b in pairs]
-    lo = min(d)
-    tied = [frozenset(p) for p, dv in zip(pairs, d) if dv <= lo + 1e-12]
-    return tied[0] if len(tied) == 1 else frozenset().union(*tied)
-
-
 def triplet_agreement(Z1: np.ndarray, Z2: np.ndarray) -> float:
     """Fraction of leaf triples on which the two trees agree about the
-    first-merging pair."""
+    first-merging pair. A triple on which either tree ties (within 1e-12)
+    counts as agreeing."""
     n = Z1.shape[0] + 1
     if Z2.shape[0] + 1 != n:
         raise ValueError("trees have different leaf counts")
-    c1, c2 = cophenetic(Z1), cophenetic(Z2)
-    agree = 0
-    total = 0
-    for i, j, k in itertools.combinations(range(n), 3):
-        p1 = _closest_pair(c1, n, i, j, k)
-        p2 = _closest_pair(c2, n, i, j, k)
-        total += 1
-        # Agreement: some first-merging pair is shared (covers exact match
-        # and the tie case where one side returns a union of tied pairs).
-        if len(p1 & p2) >= 2:
-            agree += 1
-    return agree / total
+    if n < 3:
+        raise ValueError(f"triplet agreement needs at least 3 leaves, got {n}")
+    i, j, k = np.array(list(itertools.combinations(range(n), 3))).T
+
+    def first_pairs(Z: np.ndarray) -> np.ndarray:
+        """3 × triples mask of the pairs (ij, ik, jk) that merge first."""
+        C = squareform(cophenetic(Z), n)
+        d = np.stack([C[i, j], C[i, k], C[j, k]])
+        return d <= d.min(axis=0) + 1e-12
+
+    f1, f2 = first_pairs(Z1), first_pairs(Z2)
+    tied = (f1.sum(axis=0) > 1) | (f2.sum(axis=0) > 1)
+    return float((tied | (f1 == f2).all(axis=0)).mean())
 
 
 def closer_than(
@@ -70,12 +64,9 @@ def closer_than(
 ) -> bool:
     """True iff leaf ``a`` is closer (cophenetically) to ``b`` than to ``c``
     in the tree — the paper's "X is closer to Y than Z" claims."""
-    n = Z.shape[0] + 1
-    coph = cophenetic(Z)
+    C = squareform(cophenetic(Z), Z.shape[0] + 1)
     ia, ib, ic = labels.index(a), labels.index(b), labels.index(c)
-    dab = coph[condensed_index(n, min(ia, ib), max(ia, ib))]
-    dac = coph[condensed_index(n, min(ia, ic), max(ia, ic))]
-    return bool(dab < dac)
+    return bool(C[ia, ib] < C[ia, ic])
 
 
 def relationship_probes(Z: np.ndarray, labels: list[str]) -> dict[str, bool]:
@@ -91,3 +82,22 @@ def relationship_probes(Z: np.ndarray, labels: list[str]) -> dict[str, bool]:
             Z, labels, "Indian Subcontinent", "Northern Africa", "Southeast Asian"
         ),
     }
+
+
+def geo_scores(
+    trees: dict[str, np.ndarray],
+) -> tuple[pd.DataFrame, dict[str, dict[str, bool]]]:
+    """Score each named tree over ``REGIONS`` against the geographic
+    reference tree: one row per tree (metric, cophenetic correlation and
+    triplet agreement, rounded to 4 places) and its relationship probes."""
+    geo = geo_tree(REGIONS)
+    rows = [
+        {
+            "metric": name,
+            "cophenetic_corr_vs_geo": round(cophenetic_correlation(Z, geo), 4),
+            "triplet_agreement_vs_geo": round(triplet_agreement(Z, geo), 4),
+        }
+        for name, Z in trees.items()
+    ]
+    probes = {name: relationship_probes(Z, REGIONS) for name, Z in trees.items()}
+    return pd.DataFrame(rows), probes

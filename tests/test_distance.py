@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.distance import (
     METRICS,
-    condensed_index,
+    condense,
     pdist,
     squareform,
 )
@@ -36,19 +36,6 @@ def _brute(X, metric):
     return np.array(out)
 
 
-def test_condensed_index_enumerates_triangle():
-    n = 6
-    ks = [condensed_index(n, i, j) for i in range(n) for j in range(i + 1, n)]
-    assert ks == list(range(n * (n - 1) // 2))
-
-
-def test_condensed_index_rejects_bad_pairs():
-    with pytest.raises(ValueError):
-        condensed_index(4, 2, 2)
-    with pytest.raises(ValueError):
-        condensed_index(4, 3, 1)
-
-
 def test_squareform_roundtrip():
     rng = np.random.default_rng(0)
     X = rng.random((7, 3))
@@ -56,9 +43,10 @@ def test_squareform_roundtrip():
     sq = squareform(c, 7)
     assert np.allclose(sq, sq.T)
     assert np.allclose(np.diag(sq), 0)
-    for i in range(7):
-        for j in range(i + 1, 7):
-            assert sq[i, j] == pytest.approx(c[condensed_index(7, i, j)])
+    # The condensed vector enumerates the upper triangle in row-major order.
+    pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
+    assert [sq[i, j] for i, j in pairs] == c.tolist()
+    assert np.array_equal(condense(sq), c)
 
 
 def test_squareform_length_check():

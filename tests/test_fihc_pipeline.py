@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster.distance import condensed_index, pdist, squareform
+from repro.cluster.distance import pdist, squareform
 from repro.core.fihc import fihc
 from repro.mining.spark_fpm import MINED_SCHEMA
 from repro.recipedb.vocab import REGIONS

@@ -60,9 +60,9 @@ def test_geo_condensed_length_and_positive():
 def test_geo_condensed_specific_pair():
     c = geo_condensed()
     i, j = REGIONS.index("UK"), REGIONS.index("Irish")
-    from repro.cluster.distance import condensed_index
+    from repro.cluster.distance import squareform
 
-    d = c[condensed_index(26, min(i, j), max(i, j))]
+    d = squareform(c, 26)[i, j]
     assert d == pytest.approx(
         haversine_km(*REGION_COORDS["UK"], *REGION_COORDS["Irish"])
     )

@@ -1,13 +1,14 @@
-"""HAC substrate: hand-computed linkages, scipy-convention compliance,
-cophenetic / newick / ascii rendering."""
+"""HAC substrate: hand-computed linkages, a UPGMA definition oracle,
+scipy-convention compliance, cophenetic / newick / ascii rendering."""
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
 
-from repro.cluster.distance import pdist
+from repro.cluster.distance import pdist, squareform
 from repro.cluster.hac import (
-    METHODS,
     ascii_dendrogram,
     cophenetic,
     linkage,
@@ -22,48 +23,17 @@ def _cond(X):
     return pdist(X, "euclidean")
 
 
-def test_single_linkage_line():
-    Z = linkage(_cond(LINE), "single")
-    # merges: (0,1)@1, (01,2)@2, (012,3)@4
-    assert Z[0].tolist() == [0.0, 1.0, 1.0, 2.0]
-    assert Z[1].tolist() == [2.0, 4.0, 2.0, 3.0]
-    assert Z[2].tolist() == [3.0, 5.0, 4.0, 4.0]
-
-
-def test_complete_linkage_line():
-    Z = linkage(_cond(LINE), "complete")
-    assert Z[0].tolist() == [0.0, 1.0, 1.0, 2.0]
-    assert Z[1].tolist() == [2.0, 4.0, 3.0, 3.0]
-    assert Z[2].tolist() == [3.0, 5.0, 7.0, 4.0]
-
-
 def test_average_linkage_line():
-    Z = linkage(_cond(LINE), "average")
+    Z = linkage(_cond(LINE))
     assert Z[0].tolist() == [0.0, 1.0, 1.0, 2.0]
     assert Z[1][2] == pytest.approx(2.5)  # mean(3, 2)
     assert Z[2][2] == pytest.approx((7 + 6 + 4) / 3)
 
 
-def test_ward_matches_twopoint_euclidean():
-    X = np.array([[0.0], [2.0]])
-    Z = linkage(_cond(X), "ward")
-    assert Z[0][2] == pytest.approx(2.0)
-
-
-def test_ward_three_points():
-    # Ward distance between {0,1} (merged at 1) and {2} at coordinate 4:
-    # sqrt(((1+1)*4^2 + (1+1)*3^2 - 1*1^2)/3) = sqrt(49/3)
-    X = np.array([[0.0], [1.0], [4.0]])
-    Z = linkage(_cond(X), "ward")
-    assert Z[0][2] == pytest.approx(1.0)
-    assert Z[1][2] == pytest.approx(np.sqrt(49 / 3))
-
-
-@pytest.mark.parametrize("method", METHODS)
-def test_scipy_conventions(method):
+def test_scipy_conventions():
     rng = np.random.default_rng(0)
     X = rng.random((9, 4))
-    Z = linkage(_cond(X), method)
+    Z = linkage(_cond(X))
     n = 9
     assert Z.shape == (n - 1, 4)
     seen = set()
@@ -77,19 +47,12 @@ def test_scipy_conventions(method):
     assert Z[-1, 3] == n  # final cluster holds everything
 
 
-@pytest.mark.parametrize("method", ["single", "complete", "average"])
-def test_monotone_heights(method):
-    """Single/complete/average linkage on a metric are monotone (no
-    inversions)."""
+def test_monotone_heights():
+    """Average linkage on a metric is monotone (no inversions)."""
     rng = np.random.default_rng(1)
     X = rng.random((12, 3))
-    Z = linkage(_cond(X), method)
+    Z = linkage(_cond(X))
     assert (np.diff(Z[:, 2]) >= -1e-12).all()
-
-
-def test_linkage_rejects_bad_method():
-    with pytest.raises(ValueError):
-        linkage(_cond(LINE), "centroid")
 
 
 def test_linkage_rejects_bad_length():
@@ -97,19 +60,53 @@ def test_linkage_rejects_bad_length():
         linkage(np.zeros(5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_linkage_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        linkage([bad, 1.0, 2.0])
+
+
+def _binary_jaccard(seed):
+    X = (np.random.default_rng(seed).random((14, 20)) < 0.3).astype(float)
+    return pdist(X, "jaccard")
+
+
+@pytest.mark.parametrize(
+    "cond",
+    [_cond(np.random.default_rng(s).random((12, 3))) for s in range(3)]
+    + [_binary_jaccard(s) for s in range(3)],
+)
+def test_upgma_definition_oracle(cond):
+    """Every merge height is the mean original distance between the two
+    merged leaf sets, and the smallest such mean over the active clusters."""
+    Z = linkage(cond)
+    n = len(Z) + 1
+    D = squareform(cond, n)
+    members = {i: [i] for i in range(n)}
+
+    def mean(a, b):
+        return D[np.ix_(members[a], members[b])].mean()
+
+    for t, (a, b, h, size) in enumerate(Z):
+        a, b = int(a), int(b)
+        assert h == pytest.approx(mean(a, b), abs=1e-12)
+        lowest = min(mean(x, y) for x, y in itertools.combinations(members, 2))
+        assert h <= lowest + 1e-12
+        members[n + t] = members.pop(a) + members.pop(b)
+        assert size == len(members[n + t])
+
+
 def test_cophenetic_line_single():
-    Z = linkage(_cond(LINE), "single")
+    Z = linkage(_cond(LINE))
     c = cophenetic(Z)
-    # pairs: (0,1)=1, (0,2)=2, (0,3)=4, (1,2)=2, (1,3)=4, (2,3)=4
-    assert c.tolist() == [1.0, 2.0, 4.0, 2.0, 4.0, 4.0]
+    # merges: (0,1)@1, (01,2)@2.5, (012,3)@17/3
+    assert c.tolist() == pytest.approx([1.0, 2.5, 17 / 3, 2.5, 17 / 3, 17 / 3])
 
 
 def test_cophenetic_is_ultrametric():
     rng = np.random.default_rng(2)
     X = rng.random((10, 3))
-    Z = linkage(_cond(X), "complete")
-    from repro.cluster.distance import squareform
-
+    Z = linkage(_cond(X))
     C = squareform(cophenetic(Z), 10)
     for i in range(10):
         for j in range(10):
@@ -118,7 +115,7 @@ def test_cophenetic_is_ultrametric():
 
 
 def test_newick_wellformed():
-    Z = linkage(_cond(LINE), "average")
+    Z = linkage(_cond(LINE))
     nk = to_newick(Z, ["a", "b", "c", "d"])
     assert nk.endswith(";")
     assert nk.count("(") == nk.count(")") == 3
@@ -127,7 +124,7 @@ def test_newick_wellformed():
 
 
 def test_newick_spaces_replaced():
-    Z = linkage(_cond(LINE), "average")
+    Z = linkage(_cond(LINE))
     nk = to_newick(Z, ["a a", "b b", "c c", "d d"])
     assert "a_a" in nk and " " not in nk.replace("; ", ";")
 
@@ -135,7 +132,7 @@ def test_newick_spaces_replaced():
 def test_ascii_dendrogram_contains_all_labels():
     rng = np.random.default_rng(3)
     X = rng.random((8, 2))
-    Z = linkage(_cond(X), "average")
+    Z = linkage(_cond(X))
     labels = [f"leaf{i}" for i in range(8)]
     art = ascii_dendrogram(Z, labels)
     for lab in labels:
@@ -143,10 +140,15 @@ def test_ascii_dendrogram_contains_all_labels():
     assert len(art.splitlines()) == 8
 
 
+def test_ascii_dendrogram_zero_heights():
+    art = ascii_dendrogram(linkage(np.zeros(3)), ["a", "b", "c"])
+    assert len(art.splitlines()) == 3
+
+
 def test_deterministic_tie_break():
     # Equilateral configuration: all pairwise distances equal.
     cond = np.array([1.0, 1.0, 1.0])
-    Z1 = linkage(cond, "average")
-    Z2 = linkage(cond, "average")
+    Z1 = linkage(cond)
+    Z2 = linkage(cond)
     assert np.array_equal(Z1, Z2)
     assert Z1[0, 0] == 0 and Z1[0, 1] == 1  # smallest pair first
