@@ -3,13 +3,15 @@ import sys
 
 
 def _driver_mem() -> str:
-    """~75% of the container's memory limit, for the Spark driver JVM.
+    """Heap size for the Spark driver JVM.
 
-    Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback. spark.driver.memory is read at JVM launch, not
-    from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before pyspark is
-    imported anywhere — this runs at conftest import, which pytest loads
-    before any test module.
+    Precedence: SPARK_DRIVER_MEM env (explicit override) > 75% of the
+    cgroup v2/v1 limit > half of ``MemTotal`` from /proc/meminfo, clamped
+    to 2–8g, the rule of ROADMAP.md's tier-1 test command (2g if
+    /proc/meminfo is unreadable).
+    spark.driver.memory is read at JVM launch, not from SparkConf, so it
+    must be in PYSPARK_SUBMIT_ARGS before pyspark is imported anywhere —
+    this runs at conftest import, which pytest loads before any test module.
 
     The cgroup read is best-effort: the sandbox runs under gVisor, whose
     sysfs emulation may not pass the host limit through. An unbounded
@@ -33,8 +35,14 @@ def _driver_mem() -> str:
             return f"{max(1, int(gib * 0.75))}g"
         except (OSError, ValueError):
             continue
-    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
-    return "48g"
+    try:
+        with open("/proc/meminfo") as f:
+            kib = next(int(ln.split()[1]) for ln in f if ln.startswith("MemTotal:"))
+    except (OSError, StopIteration, ValueError, IndexError):
+        os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
+        return "2g"
+    os.environ["_SPARK_DRIVER_MEM_SRC"] = "meminfo"
+    return f"{min(8, max(2, kib // 2_097_152))}g"  # half of MemTotal, in GiB
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())

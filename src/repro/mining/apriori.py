@@ -21,9 +21,9 @@ def apriori(
     Same output contract as :func:`repro.mining.fpgrowth.fpgrowth`.
     """
     n = len(transactions)
+    mc = min_count(n, min_support)
     if n == 0:
         return {}
-    mc = min_count(n, min_support)
     sets = [frozenset(t) for t in transactions]
 
     counts: dict[str, int] = defaultdict(int)

@@ -13,9 +13,16 @@ from collections import defaultdict
 from collections.abc import Iterable, Sequence
 
 
+def check_min_support(min_support: float) -> None:
+    """Raise ``ValueError`` unless ``min_support`` is in (0, 1]."""
+    if not 0 < min_support <= 1:
+        raise ValueError(f"min_support must be in (0, 1], got {min_support!r}")
+
+
 def min_count(n: int, min_support: float) -> int:
     """Smallest absolute count that is frequent among ``n`` transactions:
     ``max(1, ceil(min_support * n))``."""
+    check_min_support(min_support)
     return max(1, math.ceil(min_support * n))
 
 
@@ -141,9 +148,9 @@ def fpgrowth(
         dict mapping frozenset(itemset) -> absolute frequency.
     """
     n = len(transactions)
+    mc = min_count(n, min_support)
     if n == 0:
         return {}
-    mc = min_count(n, min_support)
     tree = _build_tree(((t, 1) for t in transactions), mc)
     out: dict[frozenset[str], int] = {}
     _mine(tree, mc, frozenset(), out)
@@ -158,9 +165,9 @@ def bruteforce(
     import itertools
 
     n = len(transactions)
+    mc = min_count(n, min_support)
     if n == 0:
         return {}
-    mc = min_count(n, min_support)
     sets = [frozenset(t) for t in transactions]
     counts: dict[frozenset[str], int] = defaultdict(int)
     for s in sets:

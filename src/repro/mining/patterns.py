@@ -45,6 +45,9 @@ def feature_matrix(
     patterns = sorted({p for _, p in rows})
     col = {p: j for j, p in enumerate(patterns)}
     idx = {r: i for i, r in enumerate(regions)}
+    unknown = sorted({r for r, _ in rows} - idx.keys())
+    if unknown:
+        raise ValueError(f"patterns from regions not in `regions`: {unknown}")
     mat = np.zeros((len(regions), len(patterns)), dtype=np.float64)
     for region, pattern in rows:
         mat[idx[region], col[pattern]] = 1.0

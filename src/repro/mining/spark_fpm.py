@@ -23,7 +23,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from .fpgrowth import fpgrowth
+from .fpgrowth import check_min_support, fpgrowth
 from .patterns import canon_pattern
 
 MINED_SCHEMA = T.StructType(
@@ -44,6 +44,7 @@ def mine_all_regions(
     Returns a DataFrame (region, items, freq, support); ``items`` is sorted
     so a pattern has one canonical representation.
     """
+    check_min_support(min_support)
 
     def _mine(pdf: pd.DataFrame) -> pd.DataFrame:
         region = pdf["region"].iloc[0]
@@ -73,6 +74,7 @@ def mine_region_mllib(
     """
     from pyspark.ml.fpm import FPGrowth
 
+    check_min_support(min_support)
     sub = recipes.filter(F.col("region") == region).select("items")
     n = sub.count()
     model = FPGrowth(

@@ -12,11 +12,13 @@ seeded per cuisine, so the same ``(scale, seed)`` always yields the same
 dataset — which is what lets the DuckDB oracle and pytest assert exact
 results.
 
-Layer semantics are defined in ``vocab`` (see DESIGN.md §3): signature
-events, style blocks, independent fillers, Zipf-tempered tails, and a
-12.37 % utensil-information dropout. Events containing utensil items are
-generated at ``p / (1 - dropout)`` so their *measured* support still lands
-on the calibrated target after dropout removes utensils.
+Layer semantics and their calibration live in ``vocab`` (see DESIGN.md
+§3): signature events, style blocks, independent fillers, the ordered tail
+pools and tail Poisson rates (``tail_pools``, ``tail_rates``), and a
+12.37 % utensil-information dropout. This module only draws and
+assembles. Events containing utensil items are generated at
+``p / (1 - dropout)`` so their *measured* support still lands on the
+calibrated target after dropout removes utensils.
 
 Assembly draws no random numbers: every layer contributes ``(recipe, item
 code)`` pairs over the cuisine's sorted vocabulary, one ``np.unique`` sorts
@@ -29,13 +31,15 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import types as T
 
-from . import vocab
 from .vocab import (
+    KINDS,
+    PAPER_TABLE1,
     PROFILES,
     REGIONS,
     UTENSIL_DROPOUT,
-    CuisineProfile,
     item_type,
+    tail_pools,
+    tail_rates,
 )
 
 RECIPE_SCHEMA = T.StructType(
@@ -54,21 +58,19 @@ RECIPE_SCHEMA = T.StructType(
 # 460 recipes at scale 1.0).
 MIN_RECIPES = 120
 
-# Item types in the order of the typed columns; assembly codes them 0, 1, 2.
-_KINDS = ("ingredient", "process", "utensil")
-_UTENSIL = _KINDS.index("utensil")
+# Assembly codes item types by their position in KINDS.
+_UTENSIL = KINDS.index("utensil")
 
 
-def _tempered_weights(n: int, lam: float, cap_marginal: float = 0.12) -> np.ndarray:
+def _tempered_weights(n: int, lam: float) -> np.ndarray:
     """Zipf-ish weights over a pool of ``n`` items, tempered and capped so
     that with ``lam`` draws per recipe no single item's marginal probability
-    exceeds ``cap_marginal`` (tail items must never cross the 0.2 mining
-    threshold)."""
+    exceeds 0.12 (tail items must never cross the 0.2 mining threshold)."""
     ranks = np.arange(1, n + 1, dtype=np.float64)
     w = 1.0 / (ranks + 20.0) ** 0.85
     w /= w.sum()
     if lam > 0:
-        cap = cap_marginal / lam
+        cap = 0.12 / lam
         for _ in range(4):
             w = np.minimum(w, cap)
             w /= w.sum()
@@ -101,8 +103,10 @@ def _tail_draws(
     return np.repeat(np.arange(n_recipes), counts), flat
 
 
-def _scaled_n(profile: CuisineProfile, scale: float) -> int:
-    return max(MIN_RECIPES, int(round(profile.n_recipes * scale)))
+def _scaled_n(region: str, scale: float) -> int:
+    if not 0 < scale < np.inf:
+        raise ValueError(f"scale must be a finite number > 0, got {scale!r}")
+    return max(MIN_RECIPES, int(round(PAPER_TABLE1[region][0] * scale)))
 
 
 def _per_recipe(
@@ -120,17 +124,13 @@ def cuisine_pdf(
 ) -> pd.DataFrame:
     """Generate one cuisine's recipes as a pandas DataFrame."""
     prof = PROFILES[region]
-    n = _scaled_n(prof, scale)
+    n = _scaled_n(region, scale)
     rng = np.random.default_rng(seed * 1_000_003 + prof.index + 17)
 
     # Vocabulary: one code and one type per item, codes in sorted-name order
     # (sorted codes are sorted names). Tail pools are typed by construction.
-    pools = [
-        vocab.tail_ingredient_pool(region),
-        vocab.tail_process_pool(region),
-        vocab.tail_utensil_pool(region),
-    ]
-    kind_of = {it: _KINDS.index(item_type(it)) for it in prof.fixed_items}
+    pools = tail_pools(region)
+    kind_of = {it: KINDS.index(item_type(it)) for it in prof.fixed_items}
     for t, pool in enumerate(pools):
         kind_of.update(dict.fromkeys(pool, t))
     names = np.array(sorted(kind_of), dtype=object)
@@ -156,11 +156,7 @@ def cuisine_pdf(
     ]
 
     # Tail layers: Poisson rates top up the Section-III length targets.
-    exp_len = vocab.expected_layer_lengths(region)
-    lam_ing = float(np.clip(vocab.AVG_INGREDIENTS - exp_len["ingredient"], 1.0, 12.0))
-    lam_proc = float(np.clip(vocab.AVG_PROCESSES - exp_len["process"], 1.0, 14.0))
-    lam_ut = float(np.clip(vocab.AVG_UTENSILS - exp_len["utensil"], 0.5, 5.0))
-    for t, (lam, pool) in enumerate(zip((lam_ing, lam_proc, lam_ut), pools)):
+    for t, (lam, pool) in enumerate(zip(tail_rates(region), pools)):
         r, j = _tail_draws(rng, n, lam, pool, at_least=int(t == _UTENSIL))
         keys.append(r * V + np.array([code[i] for i in pool], dtype=np.int64)[j])
 

@@ -28,8 +28,9 @@ Everything here is pure data + deterministic arithmetic: no RNG at import.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 MIN_SUPPORT = 0.2
 """The paper's mining threshold (Section IV)."""
@@ -108,8 +109,6 @@ PAPER_TABLE1: dict[str, tuple[int, list[tuple[tuple[str, ...], float]], int]] = 
 }
 
 REGIONS: list[str] = list(PAPER_TABLE1)
-REGION_INDEX: dict[str, int] = {r: i for i, r in enumerate(REGIONS)}
-N_RECIPES_TOTAL = sum(v[0] for v in PAPER_TABLE1.values())
 
 
 def slug(region: str) -> str:
@@ -120,6 +119,9 @@ def slug(region: str) -> str:
 # ---------------------------------------------------------------------------
 # Item typing for curated (named) vocabulary
 # ---------------------------------------------------------------------------
+KINDS = ("ingredient", "process", "utensil")
+"""Item types, in the order of the typed recipe columns and tail pools."""
+
 _NAMED_UTENSILS = {
     "skillet", "oven", "bowl", "wok", "mortar", "pan", "pot", "baking sheet",
     "saucepan", "knife", "grill pan", "steamer",
@@ -355,29 +357,14 @@ class Event:
 
 @dataclass(frozen=True)
 class CuisineProfile:
-    """Complete generative description of one cuisine."""
+    """The frequent layers of one cuisine. Its Table I row is
+    ``PAPER_TABLE1[region]``, its families ``FAMILIES[region]``."""
 
-    region: str
-    index: int
-    n_recipes: int
+    index: int                           # position in REGIONS (seeds the RNG)
     events: tuple[Event, ...]            # signature patterns (Table I)
     blocks: tuple[Event, ...]            # style blocks (family-shared)
     fillers: tuple[tuple[str, float], ...]  # independent frequent singletons
-    families: tuple[tuple[str, float], ...]
-    paper_patterns: tuple[tuple[tuple[str, ...], float], ...]
-    paper_n_patterns: int
-    expected_n_patterns: int = field(default=0)
-
-    @property
-    def fixed_items(self) -> set[str]:
-        """All frequent-layer items (excluded from tail sampling)."""
-        out: set[str] = set()
-        for e in self.events:
-            out.update(e.items)
-        for b in self.blocks:
-            out.update(b.items)
-        out.update(i for i, _ in self.fillers)
-        return out
+    fixed_items: frozenset[str]          # every item of the three layers
 
 
 def _margin(support: float) -> float:
@@ -387,10 +374,9 @@ def _margin(support: float) -> float:
     return 0.012 if support >= 0.37 else 0.02
 
 
-def event_pattern_count(
-    events: tuple[Event, ...], sigma: float = MIN_SUPPORT
-) -> tuple[int, dict[str, float]]:
-    """Exact count of frequent itemsets generated by the event layer alone.
+def event_pattern_count(events: tuple[Event, ...]) -> tuple[int, dict[str, float]]:
+    """Exact count of itemsets the event layer alone makes frequent at
+    ``MIN_SUPPORT``.
 
     Events fire independently; an itemset S is present iff the union of
     fired events covers S. Enumerates all 2^m fire combinations (m <= 3 in
@@ -416,7 +402,7 @@ def event_pattern_count(
                     p += q
             if r == 1:
                 marginals[sub[0]] = p
-            if p >= sigma:
+            if p >= MIN_SUPPORT:
                 count += 1
     return count, marginals
 
@@ -465,8 +451,8 @@ def _weighted_merge(pools: list[tuple[list[str], float]]) -> list[str]:
 
 
 def _build_profile(region: str) -> CuisineProfile:
-    n_recipes, paper_patterns, paper_n = PAPER_TABLE1[region]
-    idx = REGION_INDEX[region]
+    _, paper_patterns, paper_n = PAPER_TABLE1[region]
+    idx = REGIONS.index(region)
     events = tuple(
         Event(items=tuple(p), prob=round(s + _margin(s), 4))
         for p, s in paper_patterns
@@ -521,18 +507,12 @@ def _build_profile(region: str) -> CuisineProfile:
         for i, it in enumerate(filler_candidates[:n_fillers])
     )
 
-    expected = e_count + sum((1 << b) - 1 for b in block_sizes) + len(fillers)
     return CuisineProfile(
-        region=region,
         index=idx,
-        n_recipes=n_recipes,
         events=events,
         blocks=tuple(blocks),
         fillers=fillers,
-        families=tuple(fams),
-        paper_patterns=tuple((tuple(p), s) for p, s in paper_patterns),
-        paper_n_patterns=paper_n,
-        expected_n_patterns=expected,
+        fixed_items=frozenset(used | {it for it, _ in fillers}),
     )
 
 
@@ -550,7 +530,7 @@ def _named_items_by_type() -> dict[str, set[str]]:
         named.update(pool)
     for prof in PROFILES.values():
         named.update(prof.fixed_items)
-    by_type: dict[str, set[str]] = {"ingredient": set(), "process": set(), "utensil": set()}
+    by_type: dict[str, set[str]] = {kind: set() for kind in KINDS}
     for it in named:
         by_type[item_type(it)].add(it)
     return by_type
@@ -612,60 +592,56 @@ def utensil_universe() -> set[str]:
     return set(NAMED_BY_TYPE["utensil"]) | set(TAIL_UTENSILS)
 
 
-def _rank_jitter(pool: list[str], seed: int, sigma: float = 25.0) -> list[str]:
-    """Deterministically perturb item ranks by N(0, sigma) — cuisines in the
+def _rank_jitter(pool: list[str], seed: int) -> list[str]:
+    """Deterministically perturb item ranks by N(0, 25) — cuisines in the
     same family keep *mostly* the same top tail items (correlated prevalence
     vectors) while still differing in the details. A rotation here would
     decorrelate the Zipf weights entirely and erase the family signal."""
-    import numpy as _np
-
-    rng = _np.random.default_rng(seed)
-    keys = _np.arange(len(pool)) + rng.normal(0.0, sigma, len(pool))
-    return [pool[i] for i in _np.argsort(keys, kind="stable")]
+    rng = np.random.default_rng(seed)
+    keys = np.arange(len(pool)) + rng.normal(0.0, 25.0, len(pool))
+    return [pool[i] for i in np.argsort(keys, kind="stable")]
 
 
-def tail_ingredient_pool(region: str) -> list[str]:
-    """Ordered tail-ingredient pool for a cuisine: family pools (weighted
-    merge with per-cuisine rank jitter), then the continent pool, then the
-    global pool, then the cuisine-unique pool. Zipf weights over this order
-    concentrate mass on family items → related cuisines share their most
-    common tail ingredients (drives authenticity clustering), continents
-    share the mid ranks (drives the geographic tree shape)."""
-    prof = PROFILES[region]
-    fam = _weighted_merge([(TAIL_ING_FAMILY[f], w) for f, w in prof.families])
-    fam = _rank_jitter(fam, seed=prof.index + 1000)
-    pool = (
-        fam
+def tail_pools(region: str) -> tuple[list[str], list[str], list[str]]:
+    """Ordered tail pools of a cuisine, one per item type in ``KINDS`` order.
+
+    Ingredients: family pools (weighted merge with per-cuisine rank jitter),
+    then the continent pool, then the global pool, then the cuisine-unique
+    pool. Zipf weights over this order concentrate mass on family items →
+    related cuisines share their most common tail ingredients (drives
+    authenticity clustering), continents share the mid ranks (drives the
+    geographic tree shape). Processes: the global pool rotated by the
+    cuisine's index. Utensils: the global pool, generic utensils first.
+    No tail name is a frequent-layer item of any cuisine."""
+    idx = PROFILES[region].index
+    fam = _weighted_merge([(TAIL_ING_FAMILY[f], w) for f, w in FAMILIES[region]])
+    ingredients = (
+        _rank_jitter(fam, seed=idx + 1000)
         + TAIL_ING_CONTINENT[CONTINENTS[region]]
         + TAIL_ING_GLOBAL
         + TAIL_ING_UNIQUE[region]
     )
-    fixed = prof.fixed_items
-    return [it for it in pool if it not in fixed]
+    rot = (idx * 31) % len(TAIL_PROCESSES)
+    return ingredients, TAIL_PROCESSES[rot:] + TAIL_PROCESSES[:rot], TAIL_UTENSILS[:]
 
 
-def tail_process_pool(region: str) -> list[str]:
+def tail_rates(region: str) -> tuple[float, float, float]:
+    """Per-recipe Poisson rates of the three tail layers (``KINDS`` order):
+    each Section-III average minus the expected number of items of that
+    type the frequent layers (events + blocks + fillers) contribute,
+    clipped to [1, 12] ingredients, [1, 14] processes, [0.5, 5] utensils."""
     prof = PROFILES[region]
-    rot = (prof.index * 31) % max(1, len(TAIL_PROCESSES))
-    pool = TAIL_PROCESSES[rot:] + TAIL_PROCESSES[:rot]
-    return [it for it in pool if it not in prof.fixed_items]
-
-
-def tail_utensil_pool(region: str) -> list[str]:
-    prof = PROFILES[region]
-    return [it for it in TAIL_UTENSILS if it not in prof.fixed_items]
-
-
-def expected_layer_lengths(region: str) -> dict[str, float]:
-    """Expected number of items per recipe contributed by the frequent
-    layers (events + blocks + fillers), split by item type. The generator
-    sets tail Poisson rates to top these up to the Section-III averages."""
-    prof = PROFILES[region]
-    out = {"ingredient": 0.0, "process": 0.0, "utensil": 0.0}
+    expected = dict.fromkeys(KINDS, 0.0)
     for layer in (prof.events, prof.blocks):
         for e in layer:
             for it in e.items:
-                out[item_type(it)] += e.prob
+                expected[item_type(it)] += e.prob
     for it, p in prof.fillers:
-        out[item_type(it)] += p
-    return out
+        expected[item_type(it)] += p
+    targets = (
+        (AVG_INGREDIENTS, 1.0, 12.0), (AVG_PROCESSES, 1.0, 14.0), (AVG_UTENSILS, 0.5, 5.0)
+    )
+    return tuple(
+        min(max(avg - expected[kind], lo), hi)
+        for kind, (avg, lo, hi) in zip(KINDS, targets)
+    )

@@ -78,6 +78,16 @@ def test_support_threshold_count(n, min_support, expected):
     assert min_count(n, min_support) == expected
 
 
+@pytest.mark.parametrize("min_support", [0, -0.1, 1.5, float("nan")])
+@pytest.mark.parametrize("miner", [fpgrowth, apriori, bruteforce])
+def test_min_support_outside_unit_interval_rejected(miner, min_support):
+    """0 would mine the whole subset lattice and 1.5 nothing; both are
+    refused, on empty input too."""
+    for tx in ([["a", "b"]] * 3, []):
+        with pytest.raises(ValueError, match=r"min_support must be in \(0, 1\]"):
+            miner(tx, min_support)
+
+
 def test_miners_agree_at_exact_boundary():
     # 10 transactions at 0.2: min count is exactly 2, so the pair {a, b}
     # (count 2) is frequent and {c} (count 1) is not, for every miner.

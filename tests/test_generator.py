@@ -65,15 +65,20 @@ def test_dataset_fingerprint_pinned(scale, seed, expected):
 
 
 def test_scaled_n_floor():
-    prof = PROFILES["Central American"]  # 460 recipes at scale 1.0
-    assert _scaled_n(prof, 0.01) == MIN_RECIPES
-    assert _scaled_n(prof, 1.0) == 460
+    # Central American has 460 recipes at scale 1.0.
+    assert _scaled_n("Central American", 0.01) == MIN_RECIPES
+    assert _scaled_n("Central American", 1.0) == 460
+
+
+@pytest.mark.parametrize("scale", [0, -3, float("nan"), float("inf")])
+def test_scale_must_be_finite_positive(scale):
+    with pytest.raises(ValueError, match="scale must be a finite number > 0"):
+        cuisine_pdf("Korean", scale=scale)
 
 
 @ALL_REGIONS
 def test_region_recipe_counts_at_full_scale(region):
-    prof = PROFILES[region]
-    assert _scaled_n(prof, 1.0) == V.PAPER_TABLE1[region][0]
+    assert _scaled_n(region, 1.0) == V.PAPER_TABLE1[region][0]
 
 
 def test_all_regions_present(small_pdf):
@@ -137,11 +142,10 @@ def test_average_lengths_near_targets():
     ["Australian", "Japanese", "Greek", "Indian Subcontinent", "Korean", "US"],
 )
 def test_named_pattern_support_near_target(region):
-    prof = PROFILES[region]
     pdf = cuisine_pdf(region, scale=1.0, seed=0)
     sets = [set(t) for t in pdf["items"]]
     n = len(sets)
-    for (items, paper_support) in prof.paper_patterns:
+    for (items, paper_support) in V.PAPER_TABLE1[region][1]:
         measured = sum(1 for s in sets if set(items) <= s) / n
         assert measured == pytest.approx(paper_support + 0.016, abs=0.035), (
             f"{region} {items}: measured {measured:.3f} vs paper {paper_support}"
@@ -152,8 +156,7 @@ def test_tail_items_never_frequent():
     """No tail item's marginal may approach the 0.2 mining threshold."""
     pdf = cuisine_pdf("Italian", scale=0.3, seed=0)
     n = len(pdf)
-    prof = PROFILES["Italian"]
-    fixed = prof.fixed_items
+    fixed = PROFILES["Italian"].fixed_items
     from collections import Counter
 
     c: Counter[str] = Counter()
@@ -164,7 +167,7 @@ def test_tail_items_never_frequent():
 
 
 def test_tempered_weights_cap():
-    w = _tempered_weights(300, lam=9.0, cap_marginal=0.12)
+    w = _tempered_weights(300, lam=9.0)
     assert w.sum() == pytest.approx(1.0)
     assert (w * 9.0).max() <= 0.12 + 1e-6
 

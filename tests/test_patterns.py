@@ -62,6 +62,11 @@ def test_feature_matrix_rejects_empty(spark, mined_small):
         feature_matrix(mined_small.filter(F.lit(False)), REGIONS)
 
 
+def test_feature_matrix_rejects_unlisted_region(spark, mined_small):
+    with pytest.raises(ValueError, match="Korean"):
+        feature_matrix(mined_small, [r for r in REGIONS if r != "Korean"])
+
+
 def test_feature_matrix_zero_row_for_unmined_region(spark):
     """A region that mined nothing gets an all-zero row (``fihc`` is the
     layer that rejects it)."""

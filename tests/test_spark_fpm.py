@@ -13,7 +13,7 @@ from repro.mining.spark_fpm import (
     pattern_support,
 )
 from repro.oracle import assert_equivalent
-from repro.recipedb.vocab import PROFILES, REGIONS
+from repro.recipedb.vocab import PAPER_TABLE1, REGIONS
 
 
 def _local_mined(pdf: pd.DataFrame, region: str, min_support: float = 0.2):
@@ -66,6 +66,15 @@ def test_min_support_filters_more_patterns(spark, recipes_small):
     hi = mine_all_regions(recipes_small, 0.3).count()
     base = mine_all_regions(recipes_small, 0.2).count()
     assert lo > base > hi
+
+
+@pytest.mark.parametrize("min_support", [0, 1.5])
+def test_spark_miners_reject_bad_min_support(spark, recipes_small, min_support):
+    """Refused on the driver, before any Spark job runs."""
+    with pytest.raises(ValueError, match="min_support"):
+        mine_all_regions(recipes_small, min_support)
+    with pytest.raises(ValueError, match="min_support"):
+        mine_region_mllib(recipes_small, "Korean", min_support)
 
 
 def test_pattern_support_oracle(spark, recipes_small, recipes_small_pdf):
@@ -172,7 +181,7 @@ def test_pattern_support_matches_mined_result(mined_small_pdf, recipes_small, sp
 
 def test_named_patterns_measured_for_every_region(spark, recipes_small):
     pats = sorted(
-        {tuple(sorted(p)) for prof in PROFILES.values() for p, _ in prof.paper_patterns}
+        {tuple(sorted(p)) for row in PAPER_TABLE1.values() for p, _ in row[1]}
     )
     sup = pattern_support(recipes_small, pats).toPandas()
     assert len(sup) == len(pats) * 26

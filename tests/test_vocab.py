@@ -1,6 +1,7 @@
 """Cuisine-profile calibration invariants (no Spark needed)."""
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -30,15 +31,14 @@ def test_total_recipes_near_paper():
     # Table I's per-region counts don't sum exactly to the paper's quoted
     # 118,071 (the paper's own numbers are slightly inconsistent); we keep
     # Table I's counts verbatim.
-    assert abs(V.N_RECIPES_TOTAL - 118_071) < 500
+    assert abs(sum(n for n, _, _ in PAPER_TABLE1.values()) - 118_071) < 500
 
 
 @ALL_REGIONS
 def test_profile_matches_paper_rows(region):
     prof = PROFILES[region]
-    n_rec, pats, n_pat = PAPER_TABLE1[region]
-    assert prof.n_recipes == n_rec
-    assert prof.paper_n_patterns == n_pat
+    _, pats, _ = PAPER_TABLE1[region]
+    assert prof.index == REGIONS.index(region)
     assert len(prof.events) == len(pats)
 
 
@@ -47,14 +47,20 @@ def test_expected_pattern_count_equals_paper(region):
     """The closed-form count E + sum(2^b - 1) + #fillers must equal the
     paper's published pattern count exactly — this is the calibration."""
     prof = PROFILES[region]
-    assert prof.expected_n_patterns == prof.paper_n_patterns
+    e_count, _ = event_pattern_count(prof.events)
+    expected = (
+        e_count
+        + sum((1 << len(b.items)) - 1 for b in prof.blocks)
+        + len(prof.fillers)
+    )
+    assert expected == PAPER_TABLE1[region][2]
 
 
 @ALL_REGIONS
 def test_event_probs_cover_paper_support(region):
     """Generation probability = paper support + noise margin, in (s, s+0.03]."""
     prof = PROFILES[region]
-    for ev, (items, support) in zip(prof.events, prof.paper_patterns):
+    for ev, (items, support) in zip(prof.events, PAPER_TABLE1[region][1]):
         assert tuple(ev.items) == tuple(items)
         assert support < ev.prob <= support + 0.03
 
@@ -99,18 +105,18 @@ def test_filler_probs_within_ladder(region):
 @ALL_REGIONS
 def test_tail_pools_exclude_fixed_items(region):
     prof = PROFILES[region]
-    fixed = prof.fixed_items
-    assert not fixed & set(V.tail_ingredient_pool(region))
-    assert not fixed & set(V.tail_process_pool(region))
-    assert not fixed & set(V.tail_utensil_pool(region))
+    assert prof.fixed_items == {
+        i for layer in (prof.events, prof.blocks) for e in layer for i in e.items
+    } | {i for i, _ in prof.fillers}
+    for pool in V.tail_pools(region):
+        assert not prof.fixed_items & set(pool)
 
 
 @ALL_REGIONS
 def test_tail_pools_typed_by_construction(region):
     """The generator types tail items by their pool, not per item."""
-    assert {item_type(i) for i in V.tail_ingredient_pool(region)} == {"ingredient"}
-    assert {item_type(i) for i in V.tail_process_pool(region)} == {"process"}
-    assert {item_type(i) for i in V.tail_utensil_pool(region)} == {"utensil"}
+    for kind, pool in zip(V.KINDS, V.tail_pools(region)):
+        assert {item_type(i) for i in pool} == {kind}
 
 
 def test_universe_sizes_match_paper():
@@ -160,16 +166,16 @@ def test_plan_blocks_small_remainder_has_no_blocks():
 
 
 def test_event_pattern_count_single_event():
-    # One event of k items with prob >= sigma -> all 2^k - 1 subsets count.
+    # One event of k items with prob >= MIN_SUPPORT -> all 2^k - 1 subsets count.
     ev = (Event(items=("a", "b", "c"), prob=0.3),)
-    count, marg = event_pattern_count(ev, sigma=0.2)
+    count, marg = event_pattern_count(ev)
     assert count == 7
     assert marg == {"a": pytest.approx(0.3), "b": pytest.approx(0.3), "c": pytest.approx(0.3)}
 
 
 def test_event_pattern_count_below_threshold():
     ev = (Event(items=("a", "b"), prob=0.1),)
-    count, _ = event_pattern_count(ev, sigma=0.2)
+    count, _ = event_pattern_count(ev)
     assert count == 0
 
 
@@ -180,7 +186,7 @@ def test_event_pattern_count_overlapping_events():
         Event(items=("soy", "sesame"), prob=0.36),
         Event(items=("go", "sesame"), prob=0.26),
     )
-    count, marg = event_pattern_count(ev, sigma=0.2)
+    count, marg = event_pattern_count(ev)
     assert marg["sesame"] == pytest.approx(1 - (1 - 0.36) * (1 - 0.26))
     # {soy},{go},{sesame},{soy,sesame},{go,sesame} frequent; {soy,go} and
     # {soy,go,sesame} occur only when both events fire (0.0936) -> not.
@@ -204,7 +210,7 @@ def test_global_filler_prefix_cap():
     for region in REGIONS:
         prof = PROFILES[region]
         fam_items = {
-            i for f, _ in prof.families for i in V.FILLER_POOLS[f]
+            i for f, _ in V.FAMILIES[region] for i in V.FILLER_POOLS[f]
         } | set(V.CONTINENT_FILLERS[V.CONTINENTS[region]])
         for pos, (item, _p) in enumerate(prof.fillers):
             if item in V.GLOBAL_FILLERS and pos >= GLOBAL_FILLER_PREFIX:
@@ -215,7 +221,7 @@ def test_global_filler_prefix_cap():
 def test_fillers_count_matches_plan(region):
     prof = PROFILES[region]
     e_count, _ = event_pattern_count(prof.events)
-    sizes, f = plan_blocks(prof.paper_n_patterns - e_count)
+    sizes, f = plan_blocks(PAPER_TABLE1[region][2] - e_count)
     assert [len(b.items) for b in prof.blocks] == sizes
     assert len(prof.fillers) == f
 
@@ -237,3 +243,22 @@ def test_families_well_formed(region):
         assert f in V.FILLER_POOLS
         assert 0 < w <= 1.0
     assert region in V.CONTINENTS
+
+
+def test_profile_fingerprint_pinned():
+    """Everything the generator reads from the calibration is pinned: each
+    cuisine's index, its three frequent layers, its ordered tail pools and
+    its tail Poisson rates (sha256, first 16 hex)."""
+    h = hashlib.sha256()
+    for region in REGIONS:
+        prof = PROFILES[region]
+        record = (
+            prof.index,
+            [(e.items, e.prob) for e in prof.events],
+            [(b.items, b.prob) for b in prof.blocks],
+            list(prof.fillers),
+            [list(pool) for pool in V.tail_pools(region)],
+            list(V.tail_rates(region)),
+        )
+        h.update((repr(record) + "\n").encode())
+    assert h.hexdigest()[:16] == "2d492ee524117ae6"
