@@ -65,10 +65,10 @@ def spark() -> SparkSession:
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    (shuffle partitions, Arrow, broadcast threshold) are set here, with
+    the values of ``jobs/_common.build_session`` so tests plan queries as
+    the entrypoint does. No ``repro`` query joins, so the broadcast
+    threshold changes no plan today.
     """
     s = (
         SparkSession.builder.appName("repro")

@@ -5,12 +5,18 @@ This is the reference mining engine for the reproduction: it backs the
 correctness oracle against Spark MLlib's FPGrowth in tests. Returns the
 *complete* set of frequent itemsets (same semantics as
 ``pyspark.ml.fpm.FPGrowth.freqItemsets``).
+
+One recursive function, :func:`_grow`, does the mining: it builds the
+FP-tree of a conditional pattern base, whose header lists each item's
+nodes, and recurses into each frequent item's prefix paths. Single-chain
+trees take the same recursion.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections import defaultdict
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 
 
 def check_min_support(min_support: float) -> None:
@@ -27,108 +33,61 @@ def min_count(n: int, min_support: float) -> int:
 
 
 class _Node:
-    """One FP-tree node: an item, its count, a parent link and children."""
+    """One FP-tree node: an item, its count, its parent and its children."""
 
-    __slots__ = ("item", "count", "parent", "children", "link")
+    __slots__ = ("item", "count", "parent", "children")
 
     def __init__(self, item: str | None, parent: "_Node | None"):
         self.item = item
         self.count = 0
         self.parent = parent
         self.children: dict[str, _Node] = {}
-        self.link: _Node | None = None
 
 
-class _Tree:
-    """An FP-tree plus its header table (item -> chain of nodes)."""
+def _grow(
+    base: list[tuple[Collection[str], int]],
+    min_count: int,
+    suffix: frozenset[str],
+    out: dict[frozenset[str], int],
+) -> None:
+    """Mine the conditional pattern base of ``suffix`` into ``out``.
 
-    def __init__(self) -> None:
-        self.root = _Node(None, None)
-        self.header: dict[str, _Node] = {}
-        self.counts: dict[str, int] = defaultdict(int)
-
-    def insert(self, transaction: Sequence[str], count: int) -> None:
-        node = self.root
-        for item in transaction:
+    ``base`` holds ``(items, count)`` pairs with distinct items each. Builds
+    the base's FP-tree over its frequent items, records ``suffix`` plus each
+    frequent item (least frequent first) and recurses into that item's
+    prefix paths.
+    """
+    counts: dict[str, int] = defaultdict(int)
+    for items, c in base:
+        for item in items:
+            counts[item] += c
+    frequent = {i: c for i, c in counts.items() if c >= min_count}
+    # Order: count desc, item asc — a fixed total order keeps the tree
+    # maximally shared and the mining deterministic.
+    order = {i: (-c, i) for i, c in frequent.items()}
+    root = _Node(None, None)
+    header: dict[str, list[_Node]] = {i: [] for i in frequent}
+    for items, c in base:
+        node = root
+        for item in sorted((i for i in items if i in frequent), key=order.__getitem__):
             child = node.children.get(item)
             if child is None:
-                child = _Node(item, node)
-                node.children[item] = child
-                child.link = self.header.get(item)
-                self.header[item] = child
-            child.count += count
-            self.counts[item] += count
+                child = node.children[item] = _Node(item, node)
+                header[item].append(child)
+            child.count += c
             node = child
-
-    def prefix_paths(self, item: str) -> list[tuple[list[str], int]]:
-        """Conditional pattern base of ``item``: (path-to-root, count)."""
-        paths: list[tuple[list[str], int]] = []
-        node = self.header.get(item)
-        while node is not None:
-            path: list[str] = []
+    for item, total in sorted(frequent.items(), key=lambda kv: (kv[1], kv[0])):
+        pattern = suffix | {item}
+        out[pattern] = total
+        paths = []
+        for node in header[item]:
+            path = []
             parent = node.parent
-            while parent is not None and parent.item is not None:
+            while parent.item is not None:
                 path.append(parent.item)
                 parent = parent.parent
-            if path:
-                paths.append((path[::-1], node.count))
-            node = node.link
-        return paths
-
-    def single_path(self) -> list[tuple[str, int]] | None:
-        """If the tree is a single chain, return it (item, count) top-down."""
-        out: list[tuple[str, int]] = []
-        node = self.root
-        while node.children:
-            if len(node.children) > 1:
-                return None
-            node = next(iter(node.children.values()))
-            out.append((node.item, node.count))  # type: ignore[arg-type]
-        return out
-
-
-def _build_tree(
-    transactions: Iterable[tuple[Sequence[str], int]], min_count: int
-) -> _Tree:
-    counts: dict[str, int] = defaultdict(int)
-    cached = []
-    for t, c in transactions:
-        cached.append((t, c))
-        for item in set(t):
-            counts[item] += c
-    frequent = {i for i, c in counts.items() if c >= min_count}
-    # Global order: count desc, item asc — a fixed total order keeps the
-    # tree maximally shared and the mining deterministic.
-    order = {i: (-counts[i], i) for i in frequent}
-    tree = _Tree()
-    for t, c in cached:
-        filtered = sorted({i for i in t if i in frequent}, key=order.__getitem__)
-        if filtered:
-            tree.insert(filtered, c)
-    return tree
-
-
-def _mine(tree: _Tree, min_count: int, suffix: frozenset[str], out: dict[frozenset[str], int]) -> None:
-    single = tree.single_path()
-    if single is not None:
-        # Single-path shortcut: every combination of path items is frequent
-        # with the count of its deepest member.
-        import itertools
-
-        for r in range(1, len(single) + 1):
-            for combo in itertools.combinations(single, r):
-                cnt = min(c for _, c in combo)
-                if cnt >= min_count:
-                    out[suffix | frozenset(i for i, _ in combo)] = cnt
-        return
-    for item, total in sorted(tree.counts.items(), key=lambda kv: (kv[1], kv[0])):
-        if total < min_count:
-            continue
-        new_suffix = suffix | {item}
-        out[new_suffix] = total
-        cond = _build_tree(tree.prefix_paths(item), min_count)
-        if cond.counts:
-            _mine(cond, min_count, new_suffix, out)
+            paths.append((path, node.count))
+        _grow(paths, min_count, pattern, out)
 
 
 def fpgrowth(
@@ -147,13 +106,9 @@ def fpgrowth(
     Returns:
         dict mapping frozenset(itemset) -> absolute frequency.
     """
-    n = len(transactions)
-    mc = min_count(n, min_support)
-    if n == 0:
-        return {}
-    tree = _build_tree(((t, 1) for t in transactions), mc)
+    mc = min_count(len(transactions), min_support)
     out: dict[frozenset[str], int] = {}
-    _mine(tree, mc, frozenset(), out)
+    _grow([(set(t), 1) for t in transactions], mc, frozenset(), out)
     return out
 
 
@@ -162,8 +117,6 @@ def bruteforce(
 ) -> dict[frozenset[str], int]:
     """Exponential reference miner for tests: enumerate every itemset that
     occurs as a subset of some transaction and count it."""
-    import itertools
-
     n = len(transactions)
     mc = min_count(n, min_support)
     if n == 0:

@@ -48,9 +48,8 @@ def mine_all_regions(
 
     def _mine(pdf: pd.DataFrame) -> pd.DataFrame:
         region = pdf["region"].iloc[0]
-        transactions = [list(t) for t in pdf["items"]]
-        n = len(transactions)
-        mined = fpgrowth(transactions, min_support)
+        n = len(pdf)
+        mined = fpgrowth(pdf["items"], min_support)
         rows = [
             (region, sorted(itemset), cnt, cnt / n)
             for itemset, cnt in mined.items()

@@ -1,12 +1,16 @@
 """FP-Growth reference implementation: hand cases, brute force, properties."""
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mining.apriori import apriori
 from repro.mining.fpgrowth import bruteforce, fpgrowth, min_count
+from repro.mining.patterns import canon_pattern
+from repro.recipedb.generator import cuisine_pdf
 
 # Classic textbook example (Han et al. 2000, Table 1).
 HAN = [
@@ -102,13 +106,16 @@ def test_miners_agree_at_exact_boundary():
     assert fpgrowth(tx, 0.2) == bruteforce(tx, 0.2) == apriori(tx, 0.2) == expected
 
 
-def test_long_single_path_shortcut():
-    # A chain dataset exercises the single-path combination shortcut.
+def test_chain_dataset():
+    # Nested transactions build a single-chain FP-tree, which is mined by
+    # the same recursion as any other tree.
     tx = [["a"], ["a", "b"], ["a", "b", "c"], ["a", "b", "c", "d"]]
     res = fpgrowth(tx, 0.5)
     assert res == bruteforce(tx, 0.5)
     assert res[frozenset(["a", "b"])] == 3
     assert res[frozenset(["a", "b", "c"])] == 2
+    chain = [list("abcdefghijkl"[:k]) for k in range(1, 13)]
+    assert fpgrowth(chain, 0.25) == bruteforce(chain, 0.25)
 
 
 @pytest.mark.parametrize("min_support", [0.1, 0.25, 0.4, 0.6, 0.9])
@@ -167,3 +174,21 @@ def test_property_counts_are_exact(tx):
     sets = [frozenset(t) for t in tx]
     for itemset, count in res.items():
         assert count == sum(1 for s in sets if itemset <= s)
+
+
+def test_mined_fingerprint_pinned(recipes_small_pdf):
+    """The mined sets are pinned: sorted (region, pattern, freq) rows of the
+    test dataset at supports 0.15, 0.2 and 0.25, and of Northern Africa's
+    deep lattice (scale 1.0, support 0.05, ~7.1k patterns); sha256, first
+    16 hex digits."""
+    inputs = [(recipes_small_pdf, s) for s in (0.15, 0.2, 0.25)]
+    inputs.append((cuisine_pdf("Northern Africa", scale=1.0), 0.05))
+    h = hashlib.sha256()
+    for pdf, min_support in inputs:
+        rows = sorted(
+            (region, canon_pattern(itemset), freq)
+            for region, group in pdf.groupby("region")
+            for itemset, freq in fpgrowth(list(group["items"]), min_support).items()
+        )
+        h.update(repr((min_support, rows)).encode())
+    assert h.hexdigest()[:16] == "6036b65f1f412111"
