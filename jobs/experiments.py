@@ -66,17 +66,17 @@ def main() -> None:
     print(tops[tops["side"] == "most"].to_string(index=False))
 
     print("\n########## trees ##########")
-    geo = geo_tree(REGIONS)
+    geo = geo_tree()
     print("--- geographic reference (Fig 6) ---")
     print(ascii_dendrogram(geo, REGIONS))
     print("newick:", to_newick(geo, REGIONS))
     for metric, Z in fr.trees.items():
         print(f"--- FIHC {metric} (Figs 2-4) ---")
         print(ascii_dendrogram(Z, REGIONS))
-        print("newick:", fr.newicks[metric])
+        print("newick:", to_newick(Z, REGIONS))
     print("--- authenticity (Fig 5) ---")
     print(ascii_dendrogram(ar.tree, REGIONS))
-    print("newick:", ar.newick)
+    print("newick:", to_newick(ar.tree, REGIONS))
     spark.stop()
 
 

@@ -1,16 +1,18 @@
-"""Condensed pairwise distances (scipy.spatial.distance.pdist replacement).
+"""Pairwise distances (scipy.spatial.distance.pdist replacement).
 
-The paper feeds a condensed distance matrix (``pdist``) into HAC using
-three metrics (Section VI-A). The printed equations (3)–(5) are typos —
-Jaccard written as union/intersection, cosine written as a similarity,
-"Euclidean" missing the difference — so we implement the standard
-definitions their scipy pipeline would have computed:
+The paper feeds a distance matrix (``pdist``) into HAC using three metrics
+(Section VI-A). The printed equations (3)–(5) are typos — Jaccard written
+as union/intersection, cosine written as a similarity, "Euclidean" missing
+the difference — so we implement the standard definitions their scipy
+pipeline would have computed:
 
     euclidean(x, y) = ||x - y||_2
     cosine(x, y)    = 1 - x.y / (||x|| ||y||)
     jaccard(x, y)   = 1 - |x ∧ y| / |x ∨ y|     (binary vectors)
 
-At 26 cuisines this runs on the driver in NumPy; tests check it against a
+Distances are square n × n matrices, symmetric with a zero diagonal: the
+one format HAC, the geographic reference and validation all work in. At
+26 cuisines this runs on the driver in NumPy; tests check it against a
 brute-force pairwise loop.
 """
 from __future__ import annotations
@@ -18,22 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 METRICS = ("euclidean", "cosine", "jaccard")
-
-
-def condense(sq: np.ndarray) -> np.ndarray:
-    """Square matrix -> condensed vector of its strict upper triangle
-    (row-major: pairs (0, 1), (0, 2), ..., (1, 2), ...)."""
-    return sq[np.triu_indices(sq.shape[0], 1)]
-
-
-def squareform(condensed: np.ndarray, n: int) -> np.ndarray:
-    """Condensed vector -> symmetric square matrix with zero diagonal."""
-    if len(condensed) != n * (n - 1) // 2:
-        raise ValueError("condensed length does not match n")
-    sq = np.zeros((n, n), dtype=np.float64)
-    i, j = np.triu_indices(n, 1)
-    sq[i, j] = sq[j, i] = condensed
-    return sq
 
 
 def _euclidean(X: np.ndarray) -> np.ndarray:
@@ -64,7 +50,9 @@ def _jaccard(X: np.ndarray) -> np.ndarray:
 
 
 def pdist(X: np.ndarray, metric: str = "euclidean") -> np.ndarray:
-    """Condensed pairwise distances over the rows of ``X``."""
+    """Square pairwise distance matrix over the rows of ``X``. Each kernel
+    is exactly symmetric; the diagonal is set to 0 because Euclidean and
+    cosine leave rounding residue there."""
     X = np.asarray(X, dtype=np.float64)
     if metric == "euclidean":
         sq = _euclidean(X)
@@ -74,5 +62,6 @@ def pdist(X: np.ndarray, metric: str = "euclidean") -> np.ndarray:
         sq = _jaccard(X)
     else:
         raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
-    return condense(sq)
+    np.fill_diagonal(sq, 0.0)
+    return sq
 

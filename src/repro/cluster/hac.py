@@ -2,35 +2,36 @@
 replacement): average linkage (UPGMA), cophenetic distances, Newick
 export and an ASCII dendrogram for job output.
 
-Linkage matrices follow scipy's convention: row t = [a, b, height, size]
-merges clusters a and b (original points are 0..n-1; the cluster formed at
-row t gets id n+t).
+Distances come in as the square n × n matrix ``pdist`` returns, and
+cophenetic distances go out in the same form. Linkage matrices follow
+scipy's convention: row t = [a, b, height, size] merges clusters a and b
+(original points are 0..n-1; the cluster formed at row t gets id n+t).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .distance import condense, squareform
+ASCII_WIDTH = 72  # columns of the dendrogram drawing, labels excluded
 
 
-def linkage(condensed: np.ndarray) -> np.ndarray:
-    """Average-linkage (UPGMA) clustering of a condensed distance vector.
+def linkage(D: np.ndarray) -> np.ndarray:
+    """Average-linkage (UPGMA) clustering of a square, symmetric distance
+    matrix (the diagonal takes no part in the merges).
 
     Each step merges the closest pair of active clusters, breaking ties on
     the first pair (i < j) in row-major order whose distance is within
     1e-15 of the minimum. The merged cluster takes slot i, its distances
     are the size-weighted means of rows i and j, and slot j retires.
     """
-    condensed = np.asarray(condensed, dtype=np.float64)
-    # Infer n from the condensed length.
-    m = len(condensed)
-    n = int(round((1 + np.sqrt(1 + 8 * m)) / 2))
-    if n * (n - 1) // 2 != m:
-        raise ValueError(f"condensed length {m} is not a triangular number")
-    if not np.isfinite(condensed).all():
+    d = np.array(D, dtype=np.float64)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise ValueError(f"distance matrix must be square, got shape {d.shape}")
+    if not np.isfinite(d).all():
         raise ValueError("distances must be finite")
+    if not np.array_equal(d, d.T):
+        raise ValueError("distance matrix must be symmetric")
+    n = d.shape[0]
     # Retired slots and the diagonal hold inf, so they never win the argmin.
-    d = squareform(condensed, n)
     np.fill_diagonal(d, np.inf)
     size = np.ones(n)
     ids = np.arange(n)
@@ -46,8 +47,8 @@ def linkage(condensed: np.ndarray) -> np.ndarray:
 
 
 def cophenetic(Z: np.ndarray) -> np.ndarray:
-    """Condensed cophenetic distances: coph(a, b) = height of the merge
-    that first joins a and b."""
+    """Square cophenetic distance matrix: coph(a, b) = height of the merge
+    that first joins a and b (zero diagonal)."""
     n = Z.shape[0] + 1
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
     coph = np.zeros((n, n), dtype=np.float64)
@@ -55,7 +56,7 @@ def cophenetic(Z: np.ndarray) -> np.ndarray:
         ma, mb = members.pop(int(Z[t, 0])), members.pop(int(Z[t, 1]))
         coph[np.ix_(ma, mb)] = coph[np.ix_(mb, ma)] = Z[t, 2]
         members[n + t] = ma + mb
-    return condense(coph)
+    return coph
 
 
 def to_newick(Z: np.ndarray, labels: list[str]) -> str:
@@ -72,7 +73,7 @@ def to_newick(Z: np.ndarray, labels: list[str]) -> str:
     return node[n + Z.shape[0] - 1] + ";"
 
 
-def ascii_dendrogram(Z: np.ndarray, labels: list[str], width: int = 72) -> str:
+def ascii_dendrogram(Z: np.ndarray, labels: list[str]) -> str:
     """Text dendrogram (leaves ordered by the merge structure), a stand-in
     for the paper's figures in job output."""
     n = Z.shape[0] + 1
@@ -87,13 +88,13 @@ def ascii_dendrogram(Z: np.ndarray, labels: list[str], width: int = 72) -> str:
     pos = {leaf: i for i, leaf in enumerate(order)}
     max_h = Z[:, 2].max(initial=0.0) or 1.0  # all-zero heights: any scale
     label_w = max(len(labels[i]) for i in order) + 1
-    grid = [[" "] * width for _ in range(len(order))]
+    grid = [[" "] * ASCII_WIDTH for _ in range(len(order))]
     center: dict[int, tuple[int, int]] = {
         i: (pos[i], 0) for i in range(n)
     }  # cluster -> (row, col)
     for t in range(n - 1):
         a, b, h = int(Z[t, 0]), int(Z[t, 1]), Z[t, 2]
-        col = max(1, min(width - 1, int(round(h / max_h * (width - 1)))))
+        col = max(1, min(ASCII_WIDTH - 1, int(round(h / max_h * (ASCII_WIDTH - 1)))))
         (ra, ca), (rb, cb) = center[a], center[b]
         for c in range(ca, col):
             grid[ra][c] = "─"

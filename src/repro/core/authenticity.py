@@ -13,7 +13,7 @@ from pyspark.sql import DataFrame
 
 from ..authenticity.prevalence import authenticity_matrix
 from ..cluster.distance import pdist
-from ..cluster.hac import linkage, to_newick
+from ..cluster.hac import linkage
 from ..recipedb.vocab import REGIONS
 from .validate import geo_scores
 
@@ -23,7 +23,6 @@ class AuthenticityResult:
     matrix: np.ndarray                  # 26 × |ingredients| relative prevalence
     items: list[str]
     tree: np.ndarray
-    newick: str
     geo_scores: pd.DataFrame            # one row: cophenetic corr, triplet agreement
     probes: dict[str, bool]
 
@@ -38,7 +37,6 @@ def authenticity_clustering(recipes: DataFrame) -> AuthenticityResult:
         matrix=rel,
         items=items,
         tree=Z,
-        newick=to_newick(Z, REGIONS),
         geo_scores=scores,
         probes=probes["authenticity-euclidean"],
     )

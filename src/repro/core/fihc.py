@@ -1,7 +1,7 @@
 """Frequent-Itemset-based Hierarchical Clustering pipeline (Figs 2–4).
 
 mined patterns → canonical string patterns → label encoding → binary
-cuisine×pattern features → condensed pdist (Euclidean / Cosine / Jaccard)
+cuisine×pattern features → pdist (Euclidean / Cosine / Jaccard)
 → HAC → trees + geographic validation scores.
 """
 from __future__ import annotations
@@ -13,7 +13,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 
 from ..cluster.distance import METRICS, pdist
-from ..cluster.hac import linkage, to_newick
+from ..cluster.hac import linkage
 from ..mining.patterns import feature_matrix
 from ..mining.spark_fpm import mine_all_regions
 from ..recipedb.vocab import MIN_SUPPORT, REGIONS
@@ -27,7 +27,6 @@ class FihcResult:
     features: np.ndarray                 # 26 × P binary incidence
     patterns: list[str]                  # column labels
     trees: dict[str, np.ndarray]         # metric -> linkage matrix
-    newicks: dict[str, str]
     geo_scores: pd.DataFrame             # metric, cophenetic_corr, triplet_agreement
     probes: dict[str, dict[str, bool]]   # metric -> relationship probes
 
@@ -60,7 +59,6 @@ def fihc(
         features=X,
         patterns=patterns,
         trees=trees,
-        newicks={metric: to_newick(Z, REGIONS) for metric, Z in trees.items()},
         geo_scores=scores,
         probes=probes,
     )

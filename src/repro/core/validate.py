@@ -3,8 +3,8 @@
 The paper validates cuisine dendrograms against geography by visual
 comparison; we quantify the comparison:
 
-* **cophenetic correlation** — Pearson correlation between the condensed
-  cophenetic distance vectors of two trees;
+* **cophenetic correlation** — Pearson correlation between the strict
+  upper triangles of two trees' cophenetic distance matrices;
 * **triplet agreement** — over all C(26, 3) leaf triples, the fraction
   where both trees agree on which pair merges first (rooted-triplet
   similarity, robust to height scaling);
@@ -19,18 +19,19 @@ import itertools
 import numpy as np
 import pandas as pd
 
-from ..cluster.distance import squareform
 from ..cluster.hac import cophenetic
 from ..geo.regions import geo_tree
 from ..recipedb.vocab import REGIONS
 
 
 def cophenetic_correlation(Z1: np.ndarray, Z2: np.ndarray) -> float:
-    """Pearson correlation between two trees' cophenetic vectors (leaves
-    must be in the same order)."""
-    c1, c2 = cophenetic(Z1), cophenetic(Z2)
-    if len(c1) != len(c2):
+    """Pearson correlation between the strict upper triangles of two trees'
+    cophenetic matrices (leaves must be in the same order)."""
+    C1, C2 = cophenetic(Z1), cophenetic(Z2)
+    if C1.shape != C2.shape:
         raise ValueError("trees have different leaf counts")
+    upper = np.triu_indices(len(C1), 1)
+    c1, c2 = C1[upper], C2[upper]
     s1, s2 = c1.std(), c2.std()
     if s1 == 0 or s2 == 0:
         raise ValueError("degenerate tree: zero cophenetic variance")
@@ -50,7 +51,7 @@ def triplet_agreement(Z1: np.ndarray, Z2: np.ndarray) -> float:
 
     def first_pairs(Z: np.ndarray) -> np.ndarray:
         """3 × triples mask of the pairs (ij, ik, jk) that merge first."""
-        C = squareform(cophenetic(Z), n)
+        C = cophenetic(Z)
         d = np.stack([C[i, j], C[i, k], C[j, k]])
         return d <= d.min(axis=0) + 1e-12
 
@@ -64,7 +65,7 @@ def closer_than(
 ) -> bool:
     """True iff leaf ``a`` is closer (cophenetically) to ``b`` than to ``c``
     in the tree — the paper's "X is closer to Y than Z" claims."""
-    C = squareform(cophenetic(Z), Z.shape[0] + 1)
+    C = cophenetic(Z)
     ia, ib, ic = labels.index(a), labels.index(b), labels.index(c)
     return bool(C[ia, ib] < C[ia, ic])
 
@@ -90,7 +91,7 @@ def geo_scores(
     """Score each named tree over ``REGIONS`` against the geographic
     reference tree: one row per tree (metric, cophenetic correlation and
     triplet agreement, rounded to 4 places) and its relationship probes."""
-    geo = geo_tree(REGIONS)
+    geo = geo_tree()
     rows = [
         {
             "metric": name,

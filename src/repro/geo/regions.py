@@ -8,6 +8,7 @@ point), compute great-circle distances, and cluster.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -59,18 +60,15 @@ def haversine_km(
     return 2 * EARTH_RADIUS_KM * math.asin(math.sqrt(a))
 
 
-def geo_condensed(regions: list[str] | None = None) -> np.ndarray:
-    """Condensed great-circle distance vector over the regions."""
-    regions = regions or REGIONS
-    out = []
-    for i in range(len(regions)):
-        for j in range(i + 1, len(regions)):
-            la1, lo1 = REGION_COORDS[regions[i]]
-            la2, lo2 = REGION_COORDS[regions[j]]
-            out.append(haversine_km(la1, lo1, la2, lo2))
-    return np.asarray(out, dtype=np.float64)
+def geo_distances() -> np.ndarray:
+    """Square great-circle distance matrix (km) over ``REGIONS``."""
+    coords = [REGION_COORDS[r] for r in REGIONS]
+    D = np.zeros((len(coords), len(coords)))
+    for i, j in itertools.combinations(range(len(coords)), 2):
+        D[i, j] = D[j, i] = haversine_km(*coords[i], *coords[j])
+    return D
 
 
-def geo_tree(regions: list[str] | None = None) -> np.ndarray:
+def geo_tree() -> np.ndarray:
     """The Figure-6 reference: average-linkage HAC over geographic distance."""
-    return linkage(geo_condensed(regions))
+    return linkage(geo_distances())

@@ -113,7 +113,7 @@ def fpgrowth(
 
 
 def bruteforce(
-    transactions: Sequence[Iterable[str]], min_support: float, max_size: int | None = None
+    transactions: Sequence[Iterable[str]], min_support: float
 ) -> dict[frozenset[str], int]:
     """Exponential reference miner for tests: enumerate every itemset that
     occurs as a subset of some transaction and count it."""
@@ -125,8 +125,7 @@ def bruteforce(
     counts: dict[frozenset[str], int] = defaultdict(int)
     for s in sets:
         items = sorted(s)
-        top = len(items) if max_size is None else min(max_size, len(items))
-        for r in range(1, top + 1):
+        for r in range(1, len(items) + 1):
             for combo in itertools.combinations(items, r):
                 counts[frozenset(combo)] += 1
     return {k: v for k, v in counts.items() if v >= mc}

@@ -4,7 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster.distance import pdist, squareform
+from repro.cluster.distance import pdist
+from repro.cluster.hac import to_newick
 from repro.core.authenticity import authenticity_clustering
 from repro.recipedb.vocab import REGIONS
 
@@ -27,7 +28,7 @@ def test_items_are_ingredients_only(auth_result):
 
 def test_tree_shape(auth_result):
     assert auth_result.tree.shape == (25, 4)
-    assert auth_result.newick.endswith(";")
+    assert to_newick(auth_result.tree, REGIONS).endswith(";")
 
 
 def test_geo_scores(auth_result):
@@ -46,13 +47,13 @@ def test_probes_reported(auth_result):
 
 
 def test_raw_distance_canada(auth_result):
-    D = squareform(pdist(auth_result.matrix, "euclidean"), 26)
+    D = pdist(auth_result.matrix, "euclidean")
     i = {r: k for k, r in enumerate(REGIONS)}
     assert D[i["Canadian"], i["French"]] < D[i["Canadian"], i["US"]]
 
 
 def test_raw_distance_india(auth_result):
-    D = squareform(pdist(auth_result.matrix, "euclidean"), 26)
+    D = pdist(auth_result.matrix, "euclidean")
     i = {r: k for k, r in enumerate(REGIONS)}
     ind = i["Indian Subcontinent"]
     assert D[ind, i["Northern Africa"]] < D[ind, i["Thai"]]
@@ -61,7 +62,7 @@ def test_raw_distance_india(auth_result):
 
 def test_raw_distance_families(auth_result):
     """Family structure shows up in authenticity space."""
-    D = squareform(pdist(auth_result.matrix, "euclidean"), 26)
+    D = pdist(auth_result.matrix, "euclidean")
     i = {r: k for k, r in enumerate(REGIONS)}
     assert D[i["Japanese"], i["Korean"]] < D[i["Japanese"], i["Mexican"]]
     assert D[i["Greek"], i["Italian"]] < D[i["Greek"], i["Japanese"]]

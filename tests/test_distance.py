@@ -1,5 +1,5 @@
-"""Distance substrate: metric correctness vs brute force, properties,
-condensed-form helpers."""
+"""Distance substrate: metric correctness vs brute force, properties of
+the square distance matrix."""
 from __future__ import annotations
 
 import math
@@ -9,49 +9,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.distance import (
-    METRICS,
-    condense,
-    pdist,
-    squareform,
-)
+from repro.cluster.distance import METRICS, pdist
 
 
 def _brute(X, metric):
     n = len(X)
-    out = []
+    out = np.zeros((n, n))
     for i in range(n):
-        for j in range(i + 1, n):
+        for j in range(n):
             x, y = np.asarray(X[i], float), np.asarray(X[j], float)
             if metric == "euclidean":
-                out.append(math.sqrt(((x - y) ** 2).sum()))
+                out[i, j] = math.sqrt(((x - y) ** 2).sum())
             elif metric == "cosine":
-                out.append(
-                    1 - (x @ y) / (np.linalg.norm(x) * np.linalg.norm(y))
-                )
+                out[i, j] = 1 - (x @ y) / (np.linalg.norm(x) * np.linalg.norm(y))
             else:
                 bx, by = x != 0, y != 0
                 union = (bx | by).sum()
-                out.append(0.0 if union == 0 else 1 - (bx & by).sum() / union)
-    return np.array(out)
+                out[i, j] = 0.0 if union == 0 else 1 - (bx & by).sum() / union
+    return out
 
 
-def test_squareform_roundtrip():
+@pytest.mark.parametrize("metric", METRICS)
+def test_pdist_square_symmetric_zero_diagonal(metric):
     rng = np.random.default_rng(0)
-    X = rng.random((7, 3))
-    c = pdist(X, "euclidean")
-    sq = squareform(c, 7)
-    assert np.allclose(sq, sq.T)
-    assert np.allclose(np.diag(sq), 0)
-    # The condensed vector enumerates the upper triangle in row-major order.
-    pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
-    assert [sq[i, j] for i, j in pairs] == c.tolist()
-    assert np.array_equal(condense(sq), c)
-
-
-def test_squareform_length_check():
-    with pytest.raises(ValueError):
-        squareform(np.zeros(5), 4)
+    dense = rng.random((7, 3))
+    binary = (rng.random((9, 15)) < 0.4).astype(float)
+    binary[binary.sum(axis=1) == 0, 0] = 1.0  # avoid zero vectors for cosine
+    for X in (dense, binary):
+        D = pdist(X, metric)
+        assert D.shape == (len(X), len(X))
+        assert np.array_equal(D, D.T)
+        assert (np.diag(D) == 0.0).all()
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -77,12 +65,12 @@ def test_identical_rows_zero_distance(metric):
 
 def test_euclidean_known_value():
     X = np.array([[0.0, 0.0], [3.0, 4.0]])
-    assert pdist(X, "euclidean")[0] == pytest.approx(5.0)
+    assert pdist(X, "euclidean")[0, 1] == pytest.approx(5.0)
 
 
 def test_cosine_orthogonal():
     X = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert pdist(X, "cosine")[0] == pytest.approx(1.0)
+    assert pdist(X, "cosine")[0, 1] == pytest.approx(1.0)
 
 
 def test_cosine_rejects_zero_vector():
@@ -94,12 +82,12 @@ def test_cosine_rejects_zero_vector():
 def test_jaccard_known_value():
     X = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]])
     # intersection 1, union 3
-    assert pdist(X, "jaccard")[0] == pytest.approx(1 - 1 / 3)
+    assert pdist(X, "jaccard")[0, 1] == pytest.approx(1 - 1 / 3)
 
 
 def test_jaccard_all_zero_rows():
     X = np.zeros((2, 3))
-    assert pdist(X, "jaccard")[0] == 0.0
+    assert pdist(X, "jaccard")[0, 1] == 0.0
 
 
 def test_unknown_metric():
@@ -116,7 +104,7 @@ def test_unknown_metric():
 def test_property_euclidean_triangle_inequality(n, d, seed):
     rng = np.random.default_rng(seed)
     X = rng.random((n, d))
-    sq = squareform(pdist(X, "euclidean"), n)
+    sq = pdist(X, "euclidean")
     for i in range(n):
         for j in range(n):
             for k in range(n):

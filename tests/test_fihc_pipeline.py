@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster.distance import pdist, squareform
+from repro.cluster.distance import pdist
+from repro.cluster.hac import to_newick
 from repro.core.fihc import fihc
 from repro.mining.spark_fpm import MINED_SCHEMA
 from repro.recipedb.vocab import REGIONS
@@ -35,7 +36,8 @@ def test_trees_for_all_metrics(fihc_result):
 
 
 def test_newicks_wellformed(fihc_result):
-    for nk in fihc_result.newicks.values():
+    for Z in fihc_result.trees.values():
+        nk = to_newick(Z, REGIONS)
         assert nk.endswith(";")
         assert nk.count("(") == 25
 
@@ -57,7 +59,7 @@ def test_geo_agreement_beats_random(fihc_result):
 @pytest.mark.parametrize("metric", ["euclidean", "cosine", "jaccard"])
 def test_raw_distance_canada_france(fihc_result, metric):
     X = fihc_result.features
-    D = squareform(pdist(X, metric), 26)
+    D = pdist(X, metric)
     i = {r: k for k, r in enumerate(REGIONS)}
     assert (
         D[i["Canadian"], i["French"]] < D[i["Canadian"], i["US"]]
@@ -67,7 +69,7 @@ def test_raw_distance_canada_france(fihc_result, metric):
 @pytest.mark.parametrize("metric", ["euclidean", "cosine", "jaccard"])
 def test_raw_distance_india_nafrica(fihc_result, metric):
     X = fihc_result.features
-    D = squareform(pdist(X, metric), 26)
+    D = pdist(X, metric)
     i = {r: k for k, r in enumerate(REGIONS)}
     ind = i["Indian Subcontinent"]
     assert D[ind, i["Northern Africa"]] < D[ind, i["Thai"]]
@@ -98,7 +100,7 @@ def test_soy_family_clusters_in_features(fihc_result):
     X = fihc_result.features
     i = {r: k for k, r in enumerate(REGIONS)}
     for metric in ("euclidean", "cosine", "jaccard"):
-        D = squareform(pdist(X, metric), 26)
+        D = pdist(X, metric)
         assert D[i["Japanese"], i["Korean"]] < D[i["Japanese"], i["Mexican"]]
 
 

@@ -8,7 +8,7 @@ from repro.cluster.hac import cophenetic
 from repro.core.validate import closer_than
 from repro.geo.regions import (
     REGION_COORDS,
-    geo_condensed,
+    geo_distances,
     geo_tree,
     haversine_km,
 )
@@ -51,21 +51,18 @@ def test_haversine_quarter_meridian():
     assert d == pytest.approx(np.pi / 2 * 6371.0088, rel=1e-3)
 
 
-def test_geo_condensed_length_and_positive():
-    c = geo_condensed()
-    assert len(c) == 26 * 25 // 2
-    assert (c > 0).all()
+def test_geo_distances_symmetric_and_positive():
+    D = geo_distances()
+    assert D.shape == (26, 26)
+    assert np.array_equal(D, D.T)
+    assert (np.diag(D) == 0).all()
+    assert (D[~np.eye(26, dtype=bool)] > 0).all()
 
 
-def test_geo_condensed_specific_pair():
-    c = geo_condensed()
+def test_geo_distances_specific_pair():
+    D = geo_distances()
     i, j = REGIONS.index("UK"), REGIONS.index("Irish")
-    from repro.cluster.distance import squareform
-
-    d = squareform(c, 26)[i, j]
-    assert d == pytest.approx(
-        haversine_km(*REGION_COORDS["UK"], *REGION_COORDS["Irish"])
-    )
+    assert D[i, j] == haversine_km(*REGION_COORDS["UK"], *REGION_COORDS["Irish"])
 
 
 def test_geo_tree_shape():

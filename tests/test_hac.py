@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.cluster.distance import pdist, squareform
+from repro.cluster.distance import pdist
 from repro.cluster.hac import (
     ascii_dendrogram,
     cophenetic,
@@ -19,12 +19,8 @@ from repro.cluster.hac import (
 LINE = np.array([[0.0], [1.0], [3.0], [7.0]])
 
 
-def _cond(X):
-    return pdist(X, "euclidean")
-
-
 def test_average_linkage_line():
-    Z = linkage(_cond(LINE))
+    Z = linkage(pdist(LINE))
     assert Z[0].tolist() == [0.0, 1.0, 1.0, 2.0]
     assert Z[1][2] == pytest.approx(2.5)  # mean(3, 2)
     assert Z[2][2] == pytest.approx((7 + 6 + 4) / 3)
@@ -33,7 +29,7 @@ def test_average_linkage_line():
 def test_scipy_conventions():
     rng = np.random.default_rng(0)
     X = rng.random((9, 4))
-    Z = linkage(_cond(X))
+    Z = linkage(pdist(X))
     n = 9
     assert Z.shape == (n - 1, 4)
     seen = set()
@@ -51,19 +47,23 @@ def test_monotone_heights():
     """Average linkage on a metric is monotone (no inversions)."""
     rng = np.random.default_rng(1)
     X = rng.random((12, 3))
-    Z = linkage(_cond(X))
+    Z = linkage(pdist(X))
     assert (np.diff(Z[:, 2]) >= -1e-12).all()
 
 
-def test_linkage_rejects_bad_length():
-    with pytest.raises(ValueError):
-        linkage(np.zeros(5))
+def test_linkage_rejects_non_square_or_asymmetric():
+    with pytest.raises(ValueError, match="square"):
+        linkage(np.zeros(6))
+    with pytest.raises(ValueError, match="square"):
+        linkage(np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="symmetric"):
+        linkage(np.triu(np.ones((3, 3)), 1))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_linkage_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="finite"):
-        linkage([bad, 1.0, 2.0])
+        linkage(np.array([[0, bad, 1], [bad, 0, 2], [1, 2, 0]]))
 
 
 def _binary_jaccard(seed):
@@ -73,7 +73,7 @@ def _binary_jaccard(seed):
 
 @pytest.mark.parametrize(
     "cond",
-    [_cond(np.random.default_rng(s).random((12, 3))) for s in range(3)]
+    [pdist(np.random.default_rng(s).random((12, 3))) for s in range(3)]
     + [_binary_jaccard(s) for s in range(3)],
 )
 def test_upgma_definition_oracle(cond):
@@ -81,11 +81,10 @@ def test_upgma_definition_oracle(cond):
     merged leaf sets, and the smallest such mean over the active clusters."""
     Z = linkage(cond)
     n = len(Z) + 1
-    D = squareform(cond, n)
     members = {i: [i] for i in range(n)}
 
     def mean(a, b):
-        return D[np.ix_(members[a], members[b])].mean()
+        return cond[np.ix_(members[a], members[b])].mean()
 
     for t, (a, b, h, size) in enumerate(Z):
         a, b = int(a), int(b)
@@ -97,17 +96,20 @@ def test_upgma_definition_oracle(cond):
 
 
 def test_cophenetic_line_single():
-    Z = linkage(_cond(LINE))
-    c = cophenetic(Z)
+    Z = linkage(pdist(LINE))
+    C = cophenetic(Z)
     # merges: (0,1)@1, (01,2)@2.5, (012,3)@17/3
-    assert c.tolist() == pytest.approx([1.0, 2.5, 17 / 3, 2.5, 17 / 3, 17 / 3])
+    h = 17 / 3
+    assert C == pytest.approx(
+        np.array([[0, 1, 2.5, h], [1, 0, 2.5, h], [2.5, 2.5, 0, h], [h, h, h, 0]])
+    )
 
 
 def test_cophenetic_is_ultrametric():
     rng = np.random.default_rng(2)
     X = rng.random((10, 3))
-    Z = linkage(_cond(X))
-    C = squareform(cophenetic(Z), 10)
+    Z = linkage(pdist(X))
+    C = cophenetic(Z)
     for i in range(10):
         for j in range(10):
             for k in range(10):
@@ -115,7 +117,7 @@ def test_cophenetic_is_ultrametric():
 
 
 def test_newick_wellformed():
-    Z = linkage(_cond(LINE))
+    Z = linkage(pdist(LINE))
     nk = to_newick(Z, ["a", "b", "c", "d"])
     assert nk.endswith(";")
     assert nk.count("(") == nk.count(")") == 3
@@ -124,7 +126,7 @@ def test_newick_wellformed():
 
 
 def test_newick_spaces_replaced():
-    Z = linkage(_cond(LINE))
+    Z = linkage(pdist(LINE))
     nk = to_newick(Z, ["a a", "b b", "c c", "d d"])
     assert "a_a" in nk and " " not in nk.replace("; ", ";")
 
@@ -132,7 +134,7 @@ def test_newick_spaces_replaced():
 def test_ascii_dendrogram_contains_all_labels():
     rng = np.random.default_rng(3)
     X = rng.random((8, 2))
-    Z = linkage(_cond(X))
+    Z = linkage(pdist(X))
     labels = [f"leaf{i}" for i in range(8)]
     art = ascii_dendrogram(Z, labels)
     for lab in labels:
@@ -141,14 +143,14 @@ def test_ascii_dendrogram_contains_all_labels():
 
 
 def test_ascii_dendrogram_zero_heights():
-    art = ascii_dendrogram(linkage(np.zeros(3)), ["a", "b", "c"])
+    art = ascii_dendrogram(linkage(np.zeros((3, 3))), ["a", "b", "c"])
     assert len(art.splitlines()) == 3
 
 
 def test_deterministic_tie_break():
     # Equilateral configuration: all pairwise distances equal.
-    cond = np.array([1.0, 1.0, 1.0])
-    Z1 = linkage(cond)
-    Z2 = linkage(cond)
+    D = 1.0 - np.eye(3)
+    Z1 = linkage(D)
+    Z2 = linkage(D)
     assert np.array_equal(Z1, Z2)
     assert Z1[0, 0] == 0 and Z1[0, 1] == 1  # smallest pair first

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.cluster.distance import pdist, squareform
+from repro.cluster.distance import pdist
 from repro.cluster.hac import cophenetic, linkage
 from repro.core.authenticity import authenticity_clustering
 from repro.core.fihc import fihc
@@ -68,7 +68,7 @@ def test_leafcount_mismatch_rejected(tree_pair):
 
 
 def test_triplet_agreement_needs_three_leaves():
-    Z = linkage([1.0])
+    Z = linkage(1.0 - np.eye(2))
     with pytest.raises(ValueError, match="got 2"):
         triplet_agreement(Z, Z)
 
@@ -88,7 +88,7 @@ def _triplet_agreement_oracle(Z1: np.ndarray, Z2: np.ndarray) -> float:
     """Per-triple reference: the trees agree when some first-merging pair
     is shared (exact match, or a tie on either side)."""
     n = Z1.shape[0] + 1
-    C1, C2 = (squareform(cophenetic(Z), n) for Z in (Z1, Z2))
+    C1, C2 = cophenetic(Z1), cophenetic(Z2)
     triples = list(itertools.combinations(range(n), 3))
     agree = sum(
         len(_closest_pair(C1, *t) & _closest_pair(C2, *t)) >= 2 for t in triples
@@ -101,11 +101,10 @@ def _triplet_agreement_oracle(Z1: np.ndarray, Z2: np.ndarray) -> float:
 def test_triplet_agreement_matches_per_triple_oracle(seed, ties):
     """Random trees, and tie-heavy trees built from integer distances."""
     rng = np.random.default_rng(seed)
-    n = 12
-    m = n * (n - 1) // 2
 
     def tree():
-        return linkage(rng.integers(1, 4, m).astype(float) if ties else rng.random(m))
+        A = rng.integers(1, 4, (12, 12)).astype(float) if ties else rng.random((12, 12))
+        return linkage(A + A.T)
 
     Z1, Z2 = tree(), tree()
     for A, B in ((Z1, Z2), (Z2, Z1), (Z1, Z1)):
