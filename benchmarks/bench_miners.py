@@ -1,6 +1,6 @@
 """T6 bench: FP-Growth vs Apriori vs Spark MLlib — the paper's §V-A claim
 that FP-Growth is "an efficient and scalable method" vs candidate
-generation.
+generation — plus the bitmap Eclat that the grouped miner runs.
 
 Two workload shapes:
 * Italian (16,582 recipes, shallow lattice of 63 patterns) — largest n;
@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.mining.apriori import apriori
+from repro.mining.eclat import eclat
 from repro.mining.fpgrowth import fpgrowth
 from repro.mining.spark_fpm import mine_region_mllib
 
@@ -44,6 +45,14 @@ def test_bench_apriori_baseline(benchmark, tx_by_region, region):
     assert len(res) > 20
 
 
+@pytest.mark.parametrize("region", REGIONS_UNDER_TEST)
+def test_bench_eclat(benchmark, tx_by_region, region):
+    res = benchmark.pedantic(
+        eclat, args=(tx_by_region[region], MIN_SUPPORT), rounds=3, iterations=1
+    )
+    assert len(res) > 20
+
+
 def test_bench_mllib_fpgrowth(benchmark, spark, recipes_full):
     def run():
         return mine_region_mllib(recipes_full, "Italian", MIN_SUPPORT).count()
@@ -54,4 +63,6 @@ def test_bench_mllib_fpgrowth(benchmark, spark, recipes_full):
 
 def test_miners_agree_at_bench_scale(tx_by_region):
     for tx in tx_by_region.values():
-        assert fpgrowth(tx, MIN_SUPPORT) == apriori(tx, MIN_SUPPORT)
+        expected = fpgrowth(tx, MIN_SUPPORT)
+        assert apriori(tx, MIN_SUPPORT) == expected
+        assert eclat(tx, MIN_SUPPORT) == expected

@@ -1,9 +1,9 @@
 """From-scratch FP-Growth (Han, Pei, Yin — SIGMOD 2000).
 
-This is the reference mining engine for the reproduction: it backs the
-``applyInPandas`` grouped miner in ``spark_fpm`` and serves as the
-correctness oracle against Spark MLlib's FPGrowth in tests. Returns the
-*complete* set of frequent itemsets (same semantics as
+This is the reference miner of the reproduction, the paper's algorithm:
+the T6 comparator against Apriori and the correctness oracle for the
+grouped engine (:mod:`repro.mining.eclat`) and Spark MLlib's FPGrowth in
+tests. Returns the *complete* set of frequent itemsets (same semantics as
 ``pyspark.ml.fpm.FPGrowth.freqItemsets``).
 
 One recursive function, :func:`_grow`, does the mining: it builds the

@@ -2,9 +2,10 @@
 
 Two engines with identical output contracts (cross-validated in tests):
 
-* :func:`mine_all_regions` — the default: one Spark job, ``applyInPandas``
-  over region groups running the reference FP-Growth per group. This is
-  the "FP-Growth per partition" layout the repro hint describes; a region's
+* :func:`mine_all_regions` — the default: one ``applyInPandas`` over
+  region groups running the bitmap :func:`~repro.mining.eclat.eclat` per
+  group, on one partition per core (``defaultParallelism``), not one per
+  shuffle partition. Materialising it runs 4 Spark jobs. A region's
   transactions always fit one group at RecipeDB scale.
 * :func:`mine_region_mllib` — Spark MLlib's DataFrame-based
   ``pyspark.ml.fpm.FPGrowth``, one fit per cuisine (used for
@@ -23,7 +24,8 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from .fpgrowth import check_min_support, fpgrowth
+from .eclat import eclat
+from .fpgrowth import check_min_support
 from .patterns import canon_pattern
 
 MINED_SCHEMA = T.StructType(
@@ -39,7 +41,12 @@ MINED_SCHEMA = T.StructType(
 def mine_all_regions(
     recipes: DataFrame, min_support: float = 0.2
 ) -> DataFrame:
-    """Mine every cuisine in one grouped-map job.
+    """Mine every cuisine in one grouped map.
+
+    The recipes are hash-partitioned by region into ``defaultParallelism``
+    partitions; ``groupBy`` reuses that partitioning, so the plan keeps one
+    shuffle and the result (and each later read of it) has one Python task
+    per core.
 
     Returns a DataFrame (region, items, freq, support); ``items`` is sorted
     so a pattern has one canonical representation.
@@ -49,15 +56,17 @@ def mine_all_regions(
     def _mine(pdf: pd.DataFrame) -> pd.DataFrame:
         region = pdf["region"].iloc[0]
         n = len(pdf)
-        mined = fpgrowth(pdf["items"], min_support)
+        mined = eclat(pdf["items"], min_support)
         rows = [
             (region, sorted(itemset), cnt, cnt / n)
             for itemset, cnt in mined.items()
         ]
         return pd.DataFrame(rows, columns=["region", "items", "freq", "support"])
 
+    parallelism = recipes.sparkSession.sparkContext.defaultParallelism
     return (
         recipes.select("region", "items")
+        .repartition(parallelism, "region")
         .groupBy("region")
         .applyInPandas(_mine, schema=MINED_SCHEMA)
     )

@@ -1,4 +1,6 @@
-"""FP-Growth reference implementation: hand cases, brute force, properties."""
+"""The exact miners — FP-Growth (the reference) and the bitmap Eclat (the
+grouped engine): hand cases, brute force, properties. Each case runs every
+miner in ``MINERS``."""
 from __future__ import annotations
 
 import hashlib
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mining.apriori import apriori
+from repro.mining.eclat import eclat
 from repro.mining.fpgrowth import bruteforce, fpgrowth, min_count
 from repro.mining.patterns import canon_pattern
 from repro.recipedb.generator import cuisine_pdf
@@ -21,57 +24,70 @@ HAN = [
     ["a", "f", "c", "e", "l", "p", "m", "n"],
 ]
 
+MINERS = [fpgrowth, eclat]
+
 
 def test_han_example_frequent_singletons():
-    res = fpgrowth(HAN, 3 / 5)
-    singles = {next(iter(k)): v for k, v in res.items() if len(k) == 1}
-    assert singles == {"f": 4, "c": 4, "a": 3, "b": 3, "m": 3, "p": 3}
+    for miner in MINERS:
+        res = miner(HAN, 3 / 5)
+        singles = {next(iter(k)): v for k, v in res.items() if len(k) == 1}
+        assert singles == {"f": 4, "c": 4, "a": 3, "b": 3, "m": 3, "p": 3}
 
 
 def test_han_example_full_result_vs_bruteforce():
-    assert fpgrowth(HAN, 3 / 5) == bruteforce(HAN, 3 / 5)
+    for miner in MINERS:
+        assert miner(HAN, 3 / 5) == bruteforce(HAN, 3 / 5)
 
 
 def test_simple_pair():
     tx = [["a", "b"], ["a", "b"], ["a"], ["b"], ["a", "b", "c"]]
-    res = fpgrowth(tx, 0.6)
-    assert res[frozenset(["a"])] == 4
-    assert res[frozenset(["b"])] == 4
-    assert res[frozenset(["a", "b"])] == 3
-    assert frozenset(["c"]) not in res
+    for miner in MINERS:
+        res = miner(tx, 0.6)
+        assert res[frozenset(["a"])] == 4
+        assert res[frozenset(["b"])] == 4
+        assert res[frozenset(["a", "b"])] == 3
+        assert frozenset(["c"]) not in res
 
 
 def test_empty_transactions():
-    assert fpgrowth([], 0.5) == {}
+    for miner in MINERS:
+        assert miner([], 0.5) == {}
 
 
 def test_transactions_with_empty_sets():
-    assert fpgrowth([[], [], ["a"]], 0.5) == {}
-    assert fpgrowth([["a"], ["a"], []], 0.5) == {frozenset(["a"]): 2}
+    for miner in MINERS:
+        assert miner([[], [], ["a"]], 0.5) == {}  # no frequent item
+        assert miner([["a"], ["a"], []], 0.5) == {frozenset(["a"]): 2}
 
 
 def test_min_support_one_requires_every_transaction():
     tx = [["a", "b"], ["a", "b"], ["a"]]
-    res = fpgrowth(tx, 1.0)
-    assert res == {frozenset(["a"]): 3}
+    for miner in MINERS:
+        assert miner(tx, 1.0) == {frozenset(["a"]): 3}
 
 
 def test_single_transaction_all_subsets():
-    res = fpgrowth([["x", "y", "z"]], 0.5)
-    assert len(res) == 7  # every non-empty subset occurs once
-    assert all(v == 1 for v in res.values())
+    for miner in MINERS:
+        res = miner([["x", "y", "z"]], 0.5)
+        assert len(res) == 7  # every non-empty subset occurs once
+        assert all(v == 1 for v in res.values())
 
 
 def test_duplicate_items_within_transaction_collapse():
-    res = fpgrowth([["a", "a", "b"], ["a", "b", "b"]], 0.9)
-    assert res[frozenset(["a", "b"])] == 2
+    tx = [["a", "a", "b"], ["a", "b", "b"]]
+    for miner in MINERS:
+        assert miner(tx, 0.9) == {
+            frozenset(["a"]): 2,
+            frozenset(["b"]): 2,
+            frozenset(["a", "b"]): 2,
+        }
 
 
 def test_boundary_support_inclusive():
     # 2/4 = 0.5 exactly: MLlib counts freq/n >= minSupport, so included.
     tx = [["a"], ["a"], ["b"], ["b"]]
-    res = fpgrowth(tx, 0.5)
-    assert res == {frozenset(["a"]): 2, frozenset(["b"]): 2}
+    for miner in MINERS:
+        assert miner(tx, 0.5) == {frozenset(["a"]): 2, frozenset(["b"]): 2}
 
 
 @pytest.mark.parametrize(
@@ -83,7 +99,7 @@ def test_support_threshold_count(n, min_support, expected):
 
 
 @pytest.mark.parametrize("min_support", [0, -0.1, 1.5, float("nan")])
-@pytest.mark.parametrize("miner", [fpgrowth, apriori, bruteforce])
+@pytest.mark.parametrize("miner", [fpgrowth, eclat, apriori, bruteforce])
 def test_min_support_outside_unit_interval_rejected(miner, min_support):
     """0 would mine the whole subset lattice and 1.5 nothing; both are
     refused, on empty input too."""
@@ -103,19 +119,21 @@ def test_miners_agree_at_exact_boundary():
         frozenset(["d"]): 2,
         frozenset(["e"]): 2,
     }
-    assert fpgrowth(tx, 0.2) == bruteforce(tx, 0.2) == apriori(tx, 0.2) == expected
+    for miner in (fpgrowth, eclat, bruteforce, apriori):
+        assert miner(tx, 0.2) == expected
 
 
 def test_chain_dataset():
     # Nested transactions build a single-chain FP-tree, which is mined by
     # the same recursion as any other tree.
     tx = [["a"], ["a", "b"], ["a", "b", "c"], ["a", "b", "c", "d"]]
-    res = fpgrowth(tx, 0.5)
-    assert res == bruteforce(tx, 0.5)
-    assert res[frozenset(["a", "b"])] == 3
-    assert res[frozenset(["a", "b", "c"])] == 2
     chain = [list("abcdefghijkl"[:k]) for k in range(1, 13)]
-    assert fpgrowth(chain, 0.25) == bruteforce(chain, 0.25)
+    for miner in MINERS:
+        res = miner(tx, 0.5)
+        assert res == bruteforce(tx, 0.5)
+        assert res[frozenset(["a", "b"])] == 3
+        assert res[frozenset(["a", "b", "c"])] == 2
+        assert miner(chain, 0.25) == bruteforce(chain, 0.25)
 
 
 @pytest.mark.parametrize("min_support", [0.1, 0.25, 0.4, 0.6, 0.9])
@@ -127,7 +145,9 @@ def test_fixed_random_sets_vs_bruteforce(min_support):
     tx = [
         rnd.sample(items, rnd.randint(1, 6)) for _ in range(40)
     ]
-    assert fpgrowth(tx, min_support) == bruteforce(tx, min_support)
+    expected = bruteforce(tx, min_support)
+    for miner in MINERS:
+        assert miner(tx, min_support) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -140,7 +160,9 @@ def test_fixed_random_sets_vs_bruteforce(min_support):
     st.floats(min_value=0.05, max_value=1.0),
 )
 def test_property_matches_bruteforce(tx, min_support):
-    assert fpgrowth(tx, min_support) == bruteforce(tx, min_support)
+    expected = bruteforce(tx, min_support)
+    for miner in MINERS:
+        assert miner(tx, min_support) == expected
 
 
 @settings(max_examples=25, deadline=None)
@@ -153,12 +175,13 @@ def test_property_matches_bruteforce(tx, min_support):
 )
 def test_property_downward_closure(tx):
     """Every subset of a frequent itemset is frequent with >= its count."""
-    res = fpgrowth(tx, 0.3)
-    for itemset, count in res.items():
-        for item in itemset:
-            sub = itemset - {item}
-            if sub:
-                assert res[sub] >= count
+    for miner in MINERS:
+        res = miner(tx, 0.3)
+        for itemset, count in res.items():
+            for item in itemset:
+                sub = itemset - {item}
+                if sub:
+                    assert res[sub] >= count
 
 
 @settings(max_examples=25, deadline=None)
@@ -170,25 +193,26 @@ def test_property_downward_closure(tx):
     )
 )
 def test_property_counts_are_exact(tx):
-    res = fpgrowth(tx, 0.25)
     sets = [frozenset(t) for t in tx]
-    for itemset, count in res.items():
-        assert count == sum(1 for s in sets if itemset <= s)
+    for miner in MINERS:
+        for itemset, count in miner(tx, 0.25).items():
+            assert count == sum(1 for s in sets if itemset <= s)
 
 
 def test_mined_fingerprint_pinned(recipes_small_pdf):
-    """The mined sets are pinned: sorted (region, pattern, freq) rows of the
-    test dataset at supports 0.15, 0.2 and 0.25, and of Northern Africa's
-    deep lattice (scale 1.0, support 0.05, ~7.1k patterns); sha256, first
-    16 hex digits."""
+    """The mined sets are pinned, for every miner: sorted (region, pattern,
+    freq) rows of the test dataset at supports 0.15, 0.2 and 0.25, and of
+    Northern Africa's deep lattice (scale 1.0, support 0.05, ~7.1k
+    patterns); sha256, first 16 hex digits."""
     inputs = [(recipes_small_pdf, s) for s in (0.15, 0.2, 0.25)]
     inputs.append((cuisine_pdf("Northern Africa", scale=1.0), 0.05))
-    h = hashlib.sha256()
-    for pdf, min_support in inputs:
-        rows = sorted(
-            (region, canon_pattern(itemset), freq)
-            for region, group in pdf.groupby("region")
-            for itemset, freq in fpgrowth(list(group["items"]), min_support).items()
-        )
-        h.update(repr((min_support, rows)).encode())
-    assert h.hexdigest()[:16] == "6036b65f1f412111"
+    for miner in MINERS:
+        h = hashlib.sha256()
+        for pdf, min_support in inputs:
+            rows = sorted(
+                (region, canon_pattern(itemset), freq)
+                for region, group in pdf.groupby("region")
+                for itemset, freq in miner(list(group["items"]), min_support).items()
+            )
+            h.update(repr((min_support, rows)).encode())
+        assert h.hexdigest()[:16] == "6036b65f1f412111", miner.__name__

@@ -1,10 +1,12 @@
-"""Three-way miner agreement (reference FP-Growth, Apriori, Spark MLlib)
-on real synthetic-RecipeDB cuisines — the correctness leg of T6."""
+"""Miner agreement (reference FP-Growth, Apriori, Spark MLlib and the
+grouped engine's bitmap Eclat) on real synthetic-RecipeDB cuisines — the
+correctness leg of T6."""
 from __future__ import annotations
 
 import pytest
 
 from repro.mining.apriori import apriori
+from repro.mining.eclat import eclat
 from repro.mining.fpgrowth import fpgrowth
 from repro.mining.spark_fpm import mine_region_mllib
 
@@ -17,13 +19,15 @@ def _transactions(recipes_small_pdf, region):
 @pytest.mark.parametrize("region", ["Korean", "Northern Africa"])
 def test_fpgrowth_apriori_agree_on_cuisine(recipes_small_pdf, region):
     tx = _transactions(recipes_small_pdf, region)
-    assert fpgrowth(tx, 0.2) == apriori(tx, 0.2)
+    assert fpgrowth(tx, 0.2) == apriori(tx, 0.2) == eclat(tx, 0.2)
 
 
 @pytest.mark.parametrize("min_support", [0.15, 0.25, 0.35])
 def test_fpgrowth_apriori_agree_across_thresholds(recipes_small_pdf, min_support):
     tx = _transactions(recipes_small_pdf, "US")
-    assert fpgrowth(tx, min_support) == apriori(tx, min_support)
+    expected = fpgrowth(tx, min_support)
+    assert apriori(tx, min_support) == expected
+    assert eclat(tx, min_support) == expected
 
 
 def test_three_way_agreement(spark, recipes_small, recipes_small_pdf):
@@ -35,7 +39,7 @@ def test_three_way_agreement(spark, recipes_small, recipes_small_pdf):
         frozenset(r["items"]): r["freq"]
         for r in mine_region_mllib(recipes_small, region, 0.2).collect()
     }
-    assert local == level == mllib
+    assert local == level == mllib == eclat(tx, 0.2)
 
 
 def test_support_values_match_containment(recipes_small_pdf):

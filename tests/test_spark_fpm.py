@@ -36,9 +36,7 @@ def test_grouped_support_consistent_with_freq(mined_small_pdf, recipes_small_pdf
         assert row.support == pytest.approx(row.freq / n_by_region[row.region])
 
 
-@pytest.mark.parametrize(
-    "region", ["Korean", "Indian Subcontinent", "Australian", "Italian"]
-)
+@pytest.mark.parametrize("region", REGIONS)
 def test_grouped_equals_local_reference(region, mined_small_pdf, recipes_small_pdf):
     """The applyInPandas engine must return exactly the local FP-Growth
     result for each region."""
@@ -48,6 +46,14 @@ def test_grouped_equals_local_reference(region, mined_small_pdf, recipes_small_p
         for r in mined_small_pdf[mined_small_pdf["region"] == region].itertuples()
     }
     assert got == expected
+
+
+def test_grouped_one_partition_per_core(spark, recipes_small, mined_small):
+    """The mined frame has one partition (one Python task) per core, not
+    one per ``spark.sql.shuffle.partitions`` (64); this call hits the
+    frame ``mined_small`` cached."""
+    mined = mine_all_regions(recipes_small, 0.2)
+    assert mined.rdd.getNumPartitions() == spark.sparkContext.defaultParallelism
 
 
 @pytest.mark.parametrize("region", ["Korean", "Greek"])
