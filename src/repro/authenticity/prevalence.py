@@ -16,10 +16,10 @@ Relative prevalence (authenticity):
 
 i.e. the item's prevalence in *c* minus its mean prevalence over all other
 cuisines. Both the most positive and most negative entries fingerprint a
-cuisine. Spark does the one large step, a (region, ingredient) count over
-the ~1.2M exploded ingredient rows; the per-cuisine totals come from
-``stats.region_counts``. The 26 × ingredient matrix and eq. 2 are NumPy on
-the driver.
+cuisine. Spark does the one large step, one (region, ingredient) count over
+the ~1.2M exploded ingredient rows, each recipe's list led by a null
+sentinel whose count is N_c. The 26 × ingredient matrix and eq. 2 are NumPy
+on the driver.
 """
 from __future__ import annotations
 
@@ -28,8 +28,6 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from ..recipedb.stats import region_counts
-
 
 def prevalence(
     recipes: DataFrame, regions: list[str]
@@ -37,24 +35,33 @@ def prevalence(
     """Dense cuisine × ingredient prevalence matrix P (eq. 1).
 
     Rows follow ``regions``; columns are the sorted ingredient vocabulary.
-    An ingredient a cuisine never uses has prevalence 0 there.
+    An ingredient a cuisine never uses has prevalence 0 there. One query:
+    each recipe's ingredients are exploded behind a null sentinel, so the
+    null rows of the (region, item) count are the N_c.
     """
     counts = (
-        recipes.select("region", F.explode("ingredients").alias("item"))
+        recipes.select(
+            "region",
+            F.explode(
+                F.concat(F.array(F.lit(None).cast("string")), "ingredients")
+            ).alias("item"),
+        )
         .groupBy("region", "item")
         .count()
         .toPandas()
     )
-    totals = region_counts(recipes).toPandas().set_index("region")["n_recipes"]
     row = pd.Categorical(counts["region"], categories=regions).codes
     if (row < 0).any():
         unknown = sorted(set(counts["region"]) - set(regions))
         raise ValueError(f"recipes from regions not in `regions`: {unknown}")
-    item = pd.Categorical(counts["item"])
+    item = pd.Categorical(counts["item"])  # a null sentinel gets code -1
+    count = counts["count"].to_numpy()
+    sentinel = item.codes < 0
+    n_c = np.zeros(len(regions), dtype=np.int64)
+    n_c[row[sentinel]] = count[sentinel]
+    ing = ~sentinel
     P = np.zeros((len(regions), len(item.categories)), dtype=np.float64)
-    P[row, item.codes] = (
-        counts["count"].to_numpy() / totals.reindex(regions).to_numpy()[row]
-    )
+    P[row[ing], item.codes[ing]] = count[ing] / n_c[row[ing]]
     return P, list(item.categories)
 
 

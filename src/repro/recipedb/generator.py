@@ -23,6 +23,11 @@ calibrated target after dropout removes utensils.
 Assembly draws no random numbers: every layer contributes ``(recipe, item
 code)`` pairs over the cuisine's sorted vocabulary, one ``np.unique`` sorts
 and de-duplicates them, and one mask applies the dropout.
+
+The pandas cells are tuples of item names, not lists. A scale-1.0 dataset
+has ~472k of them; CPython's cyclic garbage collector stops tracking a
+tuple of strings the first time it examines it, while a list stays tracked
+and is rescanned by every later collection.
 """
 from __future__ import annotations
 
@@ -111,10 +116,10 @@ def _scaled_n(region: str, scale: float) -> int:
 
 def _per_recipe(
     names: np.ndarray, recipe: np.ndarray, code: np.ndarray, n: int
-) -> list[list[str]]:
-    """Cut ``(recipe, code)`` pairs sorted by recipe into one list of item
+) -> list[tuple[str, ...]]:
+    """Cut ``(recipe, code)`` pairs sorted by recipe into one tuple of item
     names per recipe ``0..n-1`` (empty where a recipe has none)."""
-    flat = names[code].tolist()
+    flat = tuple(names[code].tolist())
     bounds = np.searchsorted(recipe, np.arange(n + 1)).tolist()
     return list(map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:])))
 

@@ -3,6 +3,8 @@ per session, reused across test modules (generation and mining are
 deterministic, so sharing is safe)."""
 from __future__ import annotations
 
+import uuid
+
 import pandas as pd
 import pytest
 
@@ -41,3 +43,22 @@ def mined_small(spark, recipes_small):
 @pytest.fixture(scope="session")
 def mined_small_pdf(mined_small) -> pd.DataFrame:
     return mined_small.toPandas()
+
+
+@pytest.fixture
+def spark_jobs(spark):
+    """``spark_jobs(fn)`` calls ``fn()`` and returns how many Spark jobs it
+    launched, counted through a job group and ``statusTracker``."""
+    sc = spark.sparkContext
+
+    def count(fn) -> int:
+        group = f"spark-jobs-{uuid.uuid4().hex}"
+        sc.setJobGroup(group, group)
+        try:
+            fn()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            sc.setLocalProperty("spark.job.description", None)
+        return len(sc.statusTracker().getJobIdsForGroup(group))
+
+    return count

@@ -1,11 +1,15 @@
 """Generator invariants — pandas level (fast, no Spark) and Spark level."""
 from __future__ import annotations
 
+import gc
 import hashlib
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.recipedb import vocab as V
 from repro.recipedb.generator import (
     MIN_RECIPES,
@@ -132,6 +136,31 @@ def test_average_lengths_near_targets():
     assert 7 <= avg_ing <= 14
     assert 8 <= avg_proc <= 16
     assert 1.5 <= avg_ut <= 4.5
+
+
+def test_cells_untracked_by_gc():
+    """After one full collection the cyclic GC tracks no cell: a tuple of
+    strings is untracked the first time the collector examines it, while a
+    list stays tracked and is rescanned by every later collection."""
+    pdf = cuisine_pdf("Korean", scale=0.3, seed=3)
+    gc.collect()
+    for col in ("ingredients", "processes", "utensils", "items"):
+        assert not any(map(gc.is_tracked, pdf[col])), col
+
+
+def test_no_process_wide_gc_switches():
+    """The pipeline never switches off, freezes or retunes the collector:
+    such a switch would hold for every caller in the process."""
+    switch = re.compile(r"\bgc\.(disable|freeze|set_threshold)\b|\bfrom gc import\b")
+    roots = [Path(repro.__file__).parent, Path(__file__).parents[1] / "jobs"]
+    hits = [
+        f"{path}:{n}"
+        for root in roots
+        for path in sorted(root.rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if switch.search(line)
+    ]
+    assert hits == []
 
 
 # ---------------------------------------------------------------------------

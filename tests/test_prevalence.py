@@ -12,6 +12,7 @@ from repro.authenticity.prevalence import (
     prevalence,
     top_authentic_items,
 )
+from repro.recipedb.generator import RECIPE_SCHEMA
 from repro.recipedb.vocab import REGIONS
 
 
@@ -113,14 +114,33 @@ def test_prevalence_rejects_unlisted_region(spark, recipes_small):
         prevalence(recipes_small, [r for r in REGIONS if r != "Korean"])
 
 
-def test_relative_prevalence_column_identity():
-    """For each item, sum_c p_i^c = sum_c P_i^c * (1 - ... ) — concretely:
-    sum of relative prevalences equals sum(P) - (n-1)^-1 * (n-1) * sum(P)
-    ... which telescopes to 0 exactly. Verify on a toy matrix."""
-    P = np.array([[0.5, 0.0], [0.1, 0.2], [0.0, 0.4]])
-    n = 3
-    rel = P - (P.sum(0, keepdims=True) - P) / (n - 1)
-    # sum_c [P_ic - (S_i - P_ic)/(n-1)] = S_i - (n S_i - S_i)/(n-1) = 0
+def test_prevalence_two_jobs(spark_jobs, recipes_small):
+    """T4's counts are one query: a shuffle map stage and a collect."""
+    assert spark_jobs(lambda: prevalence(recipes_small, REGIONS)) <= 2
+
+
+def test_relative_prevalence_column_identity(spark):
+    """Hand-made frame: in cuisine A one of two recipes has salt and the
+    other no ingredients, so P = 0.5 (N_c counts recipes, not ingredient
+    rows); cuisine B has no ingredients at all, so its row is 0. For each
+    item sum_c p_i^c = S_i - (n S_i - S_i)/(n - 1) = 0, and it is finite."""
+    pdf = pd.DataFrame(
+        {
+            "region": ["A", "A", "B"],
+            "recipe_id": [0, 1, 2],
+            "ingredients": [["salt"], [], []],
+            "processes": [["boil"], ["fry"], ["boil"]],
+            "utensils": [[], [], ["pot"]],
+            "items": [["boil", "salt"], ["fry"], ["boil", "pot"]],
+        }
+    )
+    df = spark.createDataFrame(pdf, RECIPE_SCHEMA)
+    P, items = prevalence(df, ["A", "B"])
+    assert items == ["salt"]
+    assert P.tolist() == [[0.5], [0.0]]
+    rel, _ = authenticity_matrix(df, ["A", "B"])
+    assert np.isfinite(rel).all()
+    assert rel.tolist() == [[0.5], [-0.5]]
     assert np.allclose(rel.sum(axis=0), 0.0)
 
 

@@ -5,11 +5,9 @@ import duckdb
 import pandas as pd
 import pytest
 
-from repro.oracle import assert_equivalent
 from repro.recipedb import vocab as V
 from repro.recipedb.generator import RECIPE_SCHEMA
-from repro.recipedb.stats import ITEM_COLUMNS, dataset_summary, region_counts
-from repro.recipedb.vocab import REGIONS
+from repro.recipedb.stats import ITEM_COLUMNS, dataset_summary
 
 
 @pytest.fixture(scope="module")
@@ -37,26 +35,9 @@ def oracle(recipes_small_pdf) -> dict:
         con.close()
 
 
-def test_region_counts_oracle(spark, recipes_small, recipes_small_pdf):
-    got = region_counts(recipes_small)
-    base = recipes_small_pdf[["region", "recipe_id"]]
-    assert_equivalent(
-        got,
-        "SELECT region, count(*) AS n_recipes FROM base GROUP BY region",
-        base=base,
-    )
-
-
-def test_region_counts_scaled(spark, recipes_small):
-    counts = {r["region"]: r["n_recipes"] for r in region_counts(recipes_small).collect()}
-    for region in REGIONS:
-        expected = max(120, round(0.05 * V.PAPER_TABLE1[region][0]))
-        assert counts[region] == expected
-
-
 def test_unique_counts_two_impls_agree(summary, oracle):
-    """Spark's tagged explode + countDistinct agrees with DuckDB's
-    count(DISTINCT) per column."""
+    """Spark's (column, item) count agrees with DuckDB's count(DISTINCT)
+    per column."""
     for c in ITEM_COLUMNS:
         assert summary[f"unique_{c}"] == oracle[f"unique_{c}"]
 
@@ -96,26 +77,71 @@ def test_dataset_summary_contents(summary, oracle):
     assert summary["recipes_without_utensils"] > 0
 
 
-def test_dataset_summary_without_any_utensils(spark):
-    """A column with no items at all reports 0 distinct items."""
-    pdf = pd.DataFrame(
-        {
-            "region": ["A", "A", "B"],
-            "recipe_id": [0, 1, 2],
-            "ingredients": [["salt", "egg"], ["salt"], ["rice"]],
-            "processes": [["boil"], ["boil", "fry"], []],
-            "utensils": [[], [], []],
-            "items": [["salt", "egg", "boil"], ["salt", "boil", "fry"], ["rice"]],
-        }
-    )
+def test_dataset_summary_two_jobs(spark_jobs, recipes_small):
+    """T5 is one query: a shuffle map stage and a collect, two Spark jobs."""
+    assert spark_jobs(lambda: dataset_summary(recipes_small)) <= 2
+
+
+@pytest.mark.parametrize(
+    "pdf, expected",
+    [
+        pytest.param(
+            pd.DataFrame(
+                {
+                    "region": ["A", "A", "B"],
+                    "recipe_id": [0, 1, 2],
+                    "ingredients": [["salt", "egg"], ["salt"], ["rice"]],
+                    "processes": [["boil"], ["boil", "fry"], []],
+                    "utensils": [[], [], []],
+                    "items": [["salt", "egg", "boil"], ["salt", "boil", "fry"], ["rice"]],
+                }
+            ),
+            {
+                "total_recipes": 3,
+                "unique_ingredients": 3,
+                "unique_processes": 2,
+                "unique_utensils": 0,
+                "avg_ingredients": 1.33,
+                "avg_processes": 1.0,
+                "avg_utensils": 0.0,
+                "recipes_without_utensils": 3,
+            },
+            id="no_utensils",
+        ),
+        # A recipe without ingredients, one without processes, and "grill"
+        # both a process and a utensil: counted once in each column.
+        pytest.param(
+            pd.DataFrame(
+                {
+                    "region": ["A", "A", "B", "B"],
+                    "recipe_id": [0, 1, 2, 3],
+                    "ingredients": [["salt", "egg"], [], ["rice", "salt"], ["salt"]],
+                    "processes": [[], ["boil", "grill"], ["grill"], ["boil"]],
+                    "utensils": [["pan"], ["grill", "pan"], ["grill", "pot", "pan"], []],
+                    "items": [
+                        ["egg", "pan", "salt"],
+                        ["boil", "grill", "pan"],
+                        ["grill", "pan", "pot", "rice", "salt"],
+                        ["boil", "salt"],
+                    ],
+                }
+            ),
+            {
+                "total_recipes": 4,
+                "unique_ingredients": 3,
+                "unique_processes": 2,
+                "unique_utensils": 3,
+                "avg_ingredients": 1.25,
+                "avg_processes": 1.0,
+                "avg_utensils": 1.5,
+                "recipes_without_utensils": 1,
+            },
+            id="empty_lists_shared_name",
+        ),
+    ],
+)
+def test_dataset_summary_without_any_utensils(spark, pdf, expected):
+    """Hand-made frames: a column with no items at all reports 0 distinct
+    items, and each item is counted in the column it came from."""
     s = dataset_summary(spark.createDataFrame(pdf, RECIPE_SCHEMA))
-    assert s.set_index("metric")["value"].to_dict() == {
-        "total_recipes": 3,
-        "unique_ingredients": 3,
-        "unique_processes": 2,
-        "unique_utensils": 0,
-        "avg_ingredients": 1.33,
-        "avg_processes": 1.0,
-        "avg_utensils": 0.0,
-        "recipes_without_utensils": 3,
-    }
+    assert s.set_index("metric")["value"].to_dict() == expected
