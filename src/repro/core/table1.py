@@ -3,8 +3,10 @@
 For every cuisine: number of recipes, the paper's named significant
 pattern(s) with the support *we* measure (via the oracle-checked Spark SQL
 containment query — independent of the miner; the same query yields the
-recipe counts), and the total number of frequent patterns FP-Growth finds
-at support 0.2.
+recipe counts), and the total number of frequent patterns mined at support
+0.2. The mined frame is small (~1.5k rows at support 0.2), so the pattern
+count per cuisine is taken on the driver from one collect of its
+``region`` column.
 
 The paper's "Pattern" column is editorial (a raw support ranking would put
 generic items first — the paper itself notes the skew toward salt/onion/
@@ -13,9 +15,10 @@ falsifiable content of the table.
 """
 from __future__ import annotations
 
+from collections import Counter
+
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from ..mining.patterns import canon_pattern
 from ..mining.spark_fpm import mine_all_regions, pattern_support
@@ -32,12 +35,7 @@ def table1(
     n_patterns (measured at ``min_support``).
     """
     mined = mine_all_regions(recipes, min_support)
-    counts = (
-        mined.groupBy("region")
-        .agg(F.count(F.lit(1)).alias("n_patterns"))
-        .toPandas()
-        .set_index("region")["n_patterns"]
-    )
+    counts = Counter(r["region"] for r in mined.select("region").collect())
     all_patterns = sorted(
         {tuple(sorted(p)) for _, pats, _ in PAPER_TABLE1.values() for p, _ in pats}
     )
@@ -61,7 +59,7 @@ def table1(
                     "paper_support": paper_sup,
                     "support": round(float(hit["support"]), 3),
                     "paper_n_patterns": paper_n_pat,
-                    "n_patterns": int(counts.get(region, 0)),
+                    "n_patterns": counts[region],
                 }
             )
     return pd.DataFrame(rows)

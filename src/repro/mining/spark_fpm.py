@@ -1,6 +1,7 @@
 """Per-cuisine frequent-itemset mining in Spark.
 
-Two engines with identical output contracts (cross-validated in tests):
+Two engines with one output contract, a frame of counts (region, items,
+freq), cross-validated in tests:
 
 * :func:`mine_all_regions` — the default: one ``applyInPandas`` over
   region groups running the bitmap :func:`~repro.mining.eclat.eclat` per
@@ -33,7 +34,6 @@ MINED_SCHEMA = T.StructType(
         T.StructField("region", T.StringType(), False),
         T.StructField("items", T.ArrayType(T.StringType()), False),
         T.StructField("freq", T.LongType(), False),
-        T.StructField("support", T.DoubleType(), False),
     ]
 )
 
@@ -48,20 +48,17 @@ def mine_all_regions(
     shuffle and the result (and each later read of it) has one Python task
     per core.
 
-    Returns a DataFrame (region, items, freq, support); ``items`` is sorted
-    so a pattern has one canonical representation.
+    Returns a DataFrame (region, items, freq); ``items`` is sorted so a
+    pattern has one canonical representation, and ``freq`` is the number
+    of the region's recipes that contain it.
     """
     check_min_support(min_support)
 
     def _mine(pdf: pd.DataFrame) -> pd.DataFrame:
         region = pdf["region"].iloc[0]
-        n = len(pdf)
         mined = eclat(pdf["items"], min_support)
-        rows = [
-            (region, sorted(itemset), cnt, cnt / n)
-            for itemset, cnt in mined.items()
-        ]
-        return pd.DataFrame(rows, columns=["region", "items", "freq", "support"])
+        rows = [(region, sorted(itemset), cnt) for itemset, cnt in mined.items()]
+        return pd.DataFrame(rows, columns=["region", "items", "freq"])
 
     parallelism = recipes.sparkSession.sparkContext.defaultParallelism
     return (
@@ -77,22 +74,18 @@ def mine_region_mllib(
 ) -> DataFrame:
     """Mine one cuisine with Spark MLlib FPGrowth.
 
-    Returns the same (region, items, freq, support) shape as
+    Returns the same (region, items, freq) shape as
     :func:`mine_all_regions`.
     """
     from pyspark.ml.fpm import FPGrowth
 
     check_min_support(min_support)
     sub = recipes.filter(F.col("region") == region).select("items")
-    n = sub.count()
-    model = FPGrowth(
-        itemsCol="items", minSupport=min_support, minConfidence=0.5
-    ).fit(sub)
+    model = FPGrowth(itemsCol="items", minSupport=min_support).fit(sub)
     return model.freqItemsets.select(
         F.lit(region).alias("region"),
         F.array_sort("items").alias("items"),
         F.col("freq").cast("long").alias("freq"),
-        (F.col("freq") / F.lit(float(n))).alias("support"),
     )
 
 

@@ -31,7 +31,8 @@ def recipes_small_pdf(recipes_small) -> pd.DataFrame:
 
 @pytest.fixture(scope="session")
 def mined_small(spark, recipes_small):
-    """Grouped FP-Growth result at support 0.2 over the test dataset."""
+    """Grouped miner result (``eclat`` per cuisine) at support 0.2 over the
+    test dataset, cached."""
     from repro.mining.spark_fpm import mine_all_regions
 
     df = mine_all_regions(recipes_small, 0.2).cache()

@@ -109,7 +109,7 @@ def test_fihc_names_cuisines_that_mined_nothing(spark, recipes_small):
     before any distance is computed and names every such cuisine."""
     missing = ("Korean", "Thai")
     mined = spark.createDataFrame(
-        [(r, ["salt"], 1, 0.5) for r in REGIONS if r not in missing],
+        [(r, ["salt"], 1) for r in REGIONS if r not in missing],
         schema=MINED_SCHEMA,
     )
     with pytest.raises(ValueError, match="2 cuisine") as err:

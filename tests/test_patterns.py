@@ -75,7 +75,6 @@ def test_feature_matrix_zero_row_for_unmined_region(spark):
             "region": ["A", "A", "C"],
             "items": [["x"], ["x", "y"], ["y"]],
             "freq": [3, 2, 4],
-            "support": [0.3, 0.2, 0.4],
         }
     )
     X, patterns = feature_matrix(

@@ -18,10 +18,11 @@ from repro.recipedb.vocab import PAPER_TABLE1, REGIONS
 
 def _local_mined(pdf: pd.DataFrame, region: str, min_support: float = 0.2):
     sub = pdf[pdf["region"] == region]
-    return fpgrowth([list(t) for t in sub["items"]], min_support), len(sub)
+    return fpgrowth([list(t) for t in sub["items"]], min_support)
 
 
 def test_grouped_covers_all_regions(mined_small_pdf):
+    assert list(mined_small_pdf.columns) == ["region", "items", "freq"]
     assert sorted(mined_small_pdf["region"].unique()) == sorted(REGIONS)
 
 
@@ -30,17 +31,11 @@ def test_grouped_items_sorted(mined_small_pdf):
         assert list(items) == sorted(items)
 
 
-def test_grouped_support_consistent_with_freq(mined_small_pdf, recipes_small_pdf):
-    n_by_region = recipes_small_pdf.groupby("region").size()
-    for row in mined_small_pdf.itertuples():
-        assert row.support == pytest.approx(row.freq / n_by_region[row.region])
-
-
 @pytest.mark.parametrize("region", REGIONS)
 def test_grouped_equals_local_reference(region, mined_small_pdf, recipes_small_pdf):
     """The applyInPandas engine must return exactly the local FP-Growth
     result for each region."""
-    expected, _n = _local_mined(recipes_small_pdf, region)
+    expected = _local_mined(recipes_small_pdf, region)
     got = {
         frozenset(r.items): r.freq
         for r in mined_small_pdf[mined_small_pdf["region"] == region].itertuples()
@@ -60,11 +55,11 @@ def test_grouped_one_partition_per_core(spark, recipes_small, mined_small):
 def test_mllib_equals_local_reference(spark, recipes_small, recipes_small_pdf, region):
     """Spark MLlib FPGrowth must agree itemset-for-itemset with the
     reference implementation."""
-    expected, n = _local_mined(recipes_small_pdf, region)
+    expected = _local_mined(recipes_small_pdf, region)
     got_pdf = mine_region_mllib(recipes_small, region, 0.2).toPandas()
+    assert list(got_pdf.columns) == ["region", "items", "freq"]
     got = {frozenset(r.items): r.freq for r in got_pdf.itertuples()}
     assert got == expected
-    assert (got_pdf["freq"] / n == got_pdf["support"]).all()
 
 
 def test_min_support_filters_more_patterns(spark, recipes_small):
@@ -171,18 +166,18 @@ def test_pattern_support_quoted_item_names(spark):
 
 
 def test_pattern_support_matches_mined_result(mined_small_pdf, recipes_small, spark):
-    """Where a named pattern was mined, the SQL containment support must
-    equal the mined support exactly."""
+    """Where a named pattern was mined, the SQL containment count must
+    equal the mined count exactly."""
     region = "Japanese"
     mined = mined_small_pdf[mined_small_pdf["region"] == region]
     row = mined[mined["items"].map(lambda x: list(x) == ["soy sauce"])]
     assert len(row) == 1
-    sql_sup = (
+    sql_freq = (
         pattern_support(recipes_small, [("soy sauce",)])
         .filter(F.col("region") == region)
-        .first()["support"]
+        .first()["freq"]
     )
-    assert sql_sup == pytest.approx(float(row["support"].iloc[0]))
+    assert sql_freq == int(row["freq"].iloc[0])
 
 
 def test_named_patterns_measured_for_every_region(spark, recipes_small):

@@ -11,6 +11,7 @@ import pandas as pd
 import pytest
 
 from repro.core.table1 import format_table1, table1
+from repro.mining.spark_fpm import mine_all_regions
 from repro.recipedb.vocab import PAPER_TABLE1, REGIONS
 
 ALL_REGIONS = pytest.mark.parametrize("region", REGIONS)
@@ -60,6 +61,26 @@ def test_pattern_count_ordering_roughly_preserved(t1):
     rich = per_region.loc[["Northern Africa", "Indian Subcontinent"], "n_patterns"].mean()
     poor = per_region.loc[["Australian", "Canadian", "Caribbean"], "n_patterns"].mean()
     assert rich > 2.0 * poor
+
+
+def test_table1_three_jobs(recipes_small, mined_small, spark_jobs):
+    """With the mined frame cached, Table I is one collect of its regions
+    plus the two jobs of the pattern-support query; the pattern counts
+    take no Spark aggregation of their own."""
+    assert spark_jobs(lambda: table1(recipes_small)) <= 3
+
+
+def test_pattern_counts_include_regions_that_mine_nothing(spark, recipes_small):
+    """At support 0.35 several cuisines mine no pattern at this scale; they
+    keep their rows, with ``n_patterns`` 0, and every count equals the
+    mined frame's rows for that region."""
+    t = table1(recipes_small, min_support=0.35)
+    mined = mine_all_regions(recipes_small, 0.35).toPandas()
+    expected = mined["region"].value_counts().reindex(REGIONS, fill_value=0)
+    got = t.groupby("region", sort=False)["n_patterns"].first()
+    assert list(got.index) == REGIONS
+    assert got.tolist() == expected.tolist()
+    assert (got == 0).sum() == 7
 
 
 def test_recipes_scaled_counts(t1):
