@@ -1,5 +1,15 @@
 import os
 import sys
+from pathlib import Path
+
+# ``repro`` is importable without ``pip install``: the checkout's ``src/``
+# goes on the driver's ``sys.path`` and on ``PYTHONPATH``, which Spark passes
+# to its Python workers. This runs before pyspark starts, as in
+# ``jobs/_common.py``.
+SRC = str(Path(__file__).resolve().parent / "src")
+sys.path.insert(0, SRC)
+_path = os.environ.get("PYTHONPATH")
+os.environ["PYTHONPATH"] = SRC + (os.pathsep + _path if _path else "")
 
 
 def _driver_mem() -> str:

@@ -22,17 +22,13 @@ calibrated target after dropout removes utensils.
 
 Assembly draws no random numbers: every layer contributes ``(recipe, item
 code)`` pairs over the cuisine's sorted vocabulary, one ``np.unique`` sorts
-and de-duplicates them, and one mask applies the dropout.
-
-The pandas cells are tuples of item names, not lists. A scale-1.0 dataset
-has ~472k of them; CPython's cyclic garbage collector stops tracking a
-tuple of strings the first time it examines it, while a list stays tracked
-and is rescanned by every later collection.
+and de-duplicates them, and one mask applies the dropout. Each list column
+is then one Arrow ``ListArray``: offsets cut the sorted pairs by recipe.
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import types as T
 
@@ -114,20 +110,11 @@ def _scaled_n(region: str, scale: float) -> int:
     return max(MIN_RECIPES, int(round(PAPER_TABLE1[region][0] * scale)))
 
 
-def _per_recipe(
-    names: np.ndarray, recipe: np.ndarray, code: np.ndarray, n: int
-) -> list[tuple[str, ...]]:
-    """Cut ``(recipe, code)`` pairs sorted by recipe into one tuple of item
-    names per recipe ``0..n-1`` (empty where a recipe has none)."""
-    flat = tuple(names[code].tolist())
-    bounds = np.searchsorted(recipe, np.arange(n + 1)).tolist()
-    return list(map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:])))
-
-
 def cuisine_pdf(
     region: str, *, scale: float = 1.0, seed: int = 0, id_offset: int = 0
-) -> pd.DataFrame:
-    """Generate one cuisine's recipes as a pandas DataFrame."""
+) -> pa.Table:
+    """Generate one cuisine's recipes as an Arrow table with the columns of
+    ``RECIPE_SCHEMA``."""
     prof = PROFILES[region]
     n = _scaled_n(region, scale)
     rng = np.random.default_rng(seed * 1_000_003 + prof.index + 17)
@@ -138,7 +125,7 @@ def cuisine_pdf(
     kind_of = {it: KINDS.index(item_type(it)) for it in prof.fixed_items}
     for t, pool in enumerate(pools):
         kind_of.update(dict.fromkeys(pool, t))
-    names = np.array(sorted(kind_of), dtype=object)
+    names = sorted(kind_of)
     code = {it: c for c, it in enumerate(names)}
     kind = np.array([kind_of[it] for it in names], dtype=np.int8)
 
@@ -172,37 +159,44 @@ def cuisine_pdf(
     keep = ~(dropout[rec] & (kind[c] == _UTENSIL))
     rec, c = rec[keep], c[keep]
     k = kind[c]
-    typed = {
-        col: _per_recipe(names, rec[k == t], c[k == t], n)
-        for t, col in enumerate(("ingredients", "processes", "utensils"))
-    }
-    return pd.DataFrame(
-        {
-            "region": region,
-            "recipe_id": np.arange(id_offset, id_offset + n, dtype=np.int64),
-            **typed,
-            "items": _per_recipe(names, rec, c, n),
-        }
+    # One list column per item type in KINDS order, then ``items`` (all of them).
+    vocab = pa.array(names, pa.string())
+    lists = [
+        pa.ListArray.from_arrays(
+            np.searchsorted(rec[m], np.arange(n + 1)).astype(np.int32),
+            vocab.take(c[m]),
+        )
+        for m in [k == t for t in range(len(KINDS))] + [slice(None)]
+    ]
+    ids = np.arange(id_offset, id_offset + n, dtype=np.int64)
+    return pa.table(
+        [pa.array([region] * n, pa.string()), ids, *lists],
+        names=RECIPE_SCHEMA.names,
     )
 
 
-def recipes_pdf(*, scale: float = 1.0, seed: int = 0) -> pd.DataFrame:
-    """Generate the full 26-cuisine dataset as pandas (driver-side)."""
-    frames = []
+def recipes_pdf(*, scale: float = 1.0, seed: int = 0) -> pa.Table:
+    """Generate the full 26-cuisine dataset as one Arrow table (driver-side).
+
+    The name predates the Arrow table; the benchmark times this call by it.
+    """
+    tables = []
     offset = 0
     for region in REGIONS:
-        pdf = cuisine_pdf(region, scale=scale, seed=seed, id_offset=offset)
-        offset += len(pdf)
-        frames.append(pdf)
-    return pd.concat(frames, ignore_index=True)
+        table = cuisine_pdf(region, scale=scale, seed=seed, id_offset=offset)
+        offset += table.num_rows
+        tables.append(table)
+    # One chunk per cuisine, not merged: merging copies the whole table on
+    # the driver, for fewer Spark partitions and no faster pass.
+    return pa.concat_tables(tables)
 
 
 def recipes(spark: SparkSession, *, scale: float = 1.0, seed: int = 0) -> DataFrame:
     """Generate the dataset as a Spark DataFrame.
 
     Generation itself is driver-side numpy (118k small rows at scale 1.0 —
-    far below any distributed-generation threshold); Spark receives typed
-    arrays so every downstream pipeline runs in the DataFrame/Catalyst layer.
+    far below any distributed-generation threshold); Spark receives the
+    Arrow table, so every downstream pipeline runs in the DataFrame/Catalyst
+    layer.
     """
-    pdf = recipes_pdf(scale=scale, seed=seed)
-    return spark.createDataFrame(pdf, schema=RECIPE_SCHEMA)
+    return spark.createDataFrame(recipes_pdf(scale=scale, seed=seed), schema=RECIPE_SCHEMA)

@@ -205,7 +205,7 @@ def test_mined_fingerprint_pinned(recipes_small_pdf):
     Northern Africa's deep lattice (scale 1.0, support 0.05, ~7.1k
     patterns); sha256, first 16 hex digits."""
     inputs = [(recipes_small_pdf, s) for s in (0.15, 0.2, 0.25)]
-    inputs.append((cuisine_pdf("Northern Africa", scale=1.0), 0.05))
+    inputs.append((cuisine_pdf("Northern Africa", scale=1.0).to_pandas(), 0.05))
     for miner in MINERS:
         h = hashlib.sha256()
         for pdf, min_support in inputs:

@@ -1,7 +1,6 @@
-"""Generator invariants — pandas level (fast, no Spark) and Spark level."""
+"""Generator invariants — Arrow level (fast, no Spark) and Spark level."""
 from __future__ import annotations
 
-import gc
 import hashlib
 import re
 from pathlib import Path
@@ -19,13 +18,14 @@ from repro.recipedb.generator import (
     recipes_pdf,
 )
 from repro.recipedb.vocab import PROFILES, REGIONS, item_type
+from tests.conftest import TEST_SCALE, TEST_SEED
 
 ALL_REGIONS = pytest.mark.parametrize("region", REGIONS)
 
 
 @pytest.fixture(scope="module")
-def small_pdf():
-    return recipes_pdf(scale=0.02, seed=7)
+def small_rows():
+    return recipes_pdf(scale=0.02, seed=7).to_pylist()
 
 
 # ---------------------------------------------------------------------------
@@ -34,22 +34,22 @@ def small_pdf():
 def test_deterministic_same_seed():
     a = cuisine_pdf("Korean", scale=0.3, seed=3)
     b = cuisine_pdf("Korean", scale=0.3, seed=3)
-    assert a["items"].map(tuple).tolist() == b["items"].map(tuple).tolist()
+    assert a.equals(b)
 
 
 def test_different_seed_differs():
     a = cuisine_pdf("Korean", scale=0.3, seed=3)
     b = cuisine_pdf("Korean", scale=0.3, seed=4)
-    assert a["items"].map(tuple).tolist() != b["items"].map(tuple).tolist()
+    assert not a.equals(b)
 
 
-def _fingerprint(pdf) -> str:
-    """First 16 hex digits of sha256 over the frame's rows in frame order,
+def _fingerprint(table) -> str:
+    """First 16 hex digits of sha256 over the table's rows in table order,
     one tab-separated line per recipe with ``|``-joined item lists."""
     h = hashlib.sha256()
-    for row in pdf.itertuples(index=False):
-        lists = (row.ingredients, row.processes, row.utensils, row.items)
-        cells = [row.region, str(row.recipe_id), *("|".join(x) for x in lists)]
+    for row in table.to_pylist():
+        lists = (row["ingredients"], row["processes"], row["utensils"], row["items"])
+        cells = [row["region"], str(row["recipe_id"]), *("|".join(x) for x in lists)]
         h.update(("\t".join(cells) + "\n").encode())
     return h.hexdigest()[:16]
 
@@ -85,50 +85,49 @@ def test_region_recipe_counts_at_full_scale(region):
     assert _scaled_n(region, 1.0) == V.PAPER_TABLE1[region][0]
 
 
-def test_all_regions_present(small_pdf):
-    assert sorted(small_pdf["region"].unique()) == sorted(REGIONS)
+def test_all_regions_present(small_rows):
+    assert {row["region"] for row in small_rows} == set(REGIONS)
 
 
-def test_recipe_ids_unique(small_pdf):
-    assert small_pdf["recipe_id"].is_unique
+def test_recipe_ids_unique(small_rows):
+    ids = [row["recipe_id"] for row in small_rows]
+    assert len(set(ids)) == len(ids)
 
 
 # ---------------------------------------------------------------------------
 # per-recipe structure
 # ---------------------------------------------------------------------------
-def test_items_is_union_of_typed_columns(small_pdf):
-    for _, row in small_pdf.sample(200, random_state=0).iterrows():
-        assert sorted(row["ingredients"] + row["processes"] + row["utensils"]) == list(
-            row["items"]
-        )
+def test_items_is_union_of_typed_columns(small_rows):
+    for row in small_rows:
+        assert sorted(row["ingredients"] + row["processes"] + row["utensils"]) == row["items"]
 
 
-def test_items_sorted_unique(small_pdf):
-    for items in small_pdf["items"].head(500):
-        assert list(items) == sorted(set(items))
+def test_items_sorted_unique(small_rows):
+    for row in small_rows:
+        assert row["items"] == sorted(set(row["items"]))
 
 
-def test_typed_columns_typed_correctly(small_pdf):
-    for _, row in small_pdf.sample(100, random_state=1).iterrows():
+def test_typed_columns_typed_correctly(small_rows):
+    for row in small_rows:
         assert all(item_type(i) == "ingredient" for i in row["ingredients"])
         assert all(item_type(i) == "process" for i in row["processes"])
         assert all(item_type(i) == "utensil" for i in row["utensils"])
 
 
 def test_utensil_dropout_fraction():
-    pdf = cuisine_pdf("Italian", scale=0.3, seed=0)
+    pdf = cuisine_pdf("Italian", scale=0.3, seed=0).to_pandas()
     frac = (pdf["utensils"].map(len) == 0).mean()
     assert frac == pytest.approx(V.UTENSIL_DROPOUT, abs=0.03)
 
 
-def test_dropout_recipes_have_no_utensils(small_pdf):
-    for _, row in small_pdf.iterrows():
+def test_dropout_recipes_have_no_utensils(small_rows):
+    for row in small_rows:
         if len(row["utensils"]) == 0:
             assert not any(item_type(i) == "utensil" for i in row["items"])
 
 
 def test_average_lengths_near_targets():
-    pdf = recipes_pdf(scale=0.05, seed=0)
+    pdf = recipes_pdf(scale=0.05, seed=0).to_pandas()
     avg_ing = pdf["ingredients"].map(len).mean()
     avg_proc = pdf["processes"].map(len).mean()
     avg_ut = pdf["utensils"].map(len).mean()
@@ -136,16 +135,6 @@ def test_average_lengths_near_targets():
     assert 7 <= avg_ing <= 14
     assert 8 <= avg_proc <= 16
     assert 1.5 <= avg_ut <= 4.5
-
-
-def test_cells_untracked_by_gc():
-    """After one full collection the cyclic GC tracks no cell: a tuple of
-    strings is untracked the first time the collector examines it, while a
-    list stays tracked and is rescanned by every later collection."""
-    pdf = cuisine_pdf("Korean", scale=0.3, seed=3)
-    gc.collect()
-    for col in ("ingredients", "processes", "utensils", "items"):
-        assert not any(map(gc.is_tracked, pdf[col])), col
 
 
 def test_no_process_wide_gc_switches():
@@ -171,8 +160,8 @@ def test_no_process_wide_gc_switches():
     ["Australian", "Japanese", "Greek", "Indian Subcontinent", "Korean", "US"],
 )
 def test_named_pattern_support_near_target(region):
-    pdf = cuisine_pdf(region, scale=1.0, seed=0)
-    sets = [set(t) for t in pdf["items"]]
+    transactions = cuisine_pdf(region, scale=1.0, seed=0)["items"].to_pylist()
+    sets = [set(t) for t in transactions]
     n = len(sets)
     for (items, paper_support) in V.PAPER_TABLE1[region][1]:
         measured = sum(1 for s in sets if set(items) <= s) / n
@@ -183,13 +172,13 @@ def test_named_pattern_support_near_target(region):
 
 def test_tail_items_never_frequent():
     """No tail item's marginal may approach the 0.2 mining threshold."""
-    pdf = cuisine_pdf("Italian", scale=0.3, seed=0)
-    n = len(pdf)
+    transactions = cuisine_pdf("Italian", scale=0.3, seed=0)["items"].to_pylist()
+    n = len(transactions)
     fixed = PROFILES["Italian"].fixed_items
     from collections import Counter
 
     c: Counter[str] = Counter()
-    for t in pdf["items"]:
+    for t in transactions:
         c.update(i for i in t if i not in fixed)
     top = c.most_common(5)
     assert all(cnt / n < 0.18 for _, cnt in top), top
@@ -209,13 +198,10 @@ def test_tempered_weights_no_draws():
 # ---------------------------------------------------------------------------
 # Spark-side
 # ---------------------------------------------------------------------------
-def test_spark_roundtrip_matches_pandas(spark, recipes_small, recipes_small_pdf):
-    assert recipes_small.count() == len(recipes_small_pdf)
-    assert recipes_small.columns == [
-        "region",
-        "recipe_id",
-        "ingredients",
-        "processes",
-        "utensils",
-        "items",
-    ]
+def test_spark_roundtrip_matches_generator(recipes_small):
+    """Every cell survives the Arrow handoff: the cast to the non-null
+    ``RECIPE_SCHEMA`` and the list-of-string conversion."""
+    table = recipes_pdf(scale=TEST_SCALE, seed=TEST_SEED)
+    assert recipes_small.columns == table.column_names
+    got = [row.asDict() for row in recipes_small.orderBy("recipe_id").collect()]
+    assert got == table.to_pylist()
