@@ -10,12 +10,13 @@ import time
 from _common import base_parser, build_session
 
 from repro.authenticity.prevalence import top_authentic_items
-from repro.cluster.hac import ascii_dendrogram, to_newick
+from repro.cluster.hac import ascii_dendrogram, cophenetic, to_newick
 from repro.core.authenticity import authenticity_clustering
 from repro.core.elbow import elbow
 from repro.core.fihc import fihc
 from repro.core.table1 import format_table1, table1
-from repro.geo.regions import geo_tree
+from repro.core.validate import cophenetic_correlation
+from repro.geo.regions import geo_distances, geo_tree
 from repro.mining.spark_fpm import mine_all_regions
 from repro.recipedb.generator import recipes
 from repro.recipedb.stats import dataset_summary
@@ -64,6 +65,18 @@ def main() -> None:
     print("top authentic ingredients per cuisine:")
     tops = top_authentic_items(ar.matrix, ar.items, REGIONS, k=3)
     print(tops[tops["side"] == "most"].to_string(index=False))
+
+    # Fig 6 read as the great-circle distances themselves rather than as
+    # the tree built from them; kept out of geo_scores and its pins.
+    D = geo_distances()
+    corr = {
+        name: cophenetic_correlation(cophenetic(Z), D)
+        for name, Z in {**fr.trees, "authenticity": ar.tree}.items()
+    }
+    print(
+        "cophenetic corr vs geo distances: "
+        + ", ".join(f"{name}={r:.4f}" for name, r in corr.items())
+    )
 
     print("\n########## trees ##########")
     geo = geo_tree()

@@ -77,10 +77,10 @@ def kmeans(
 
 
 def wcss_curve(
-    X: np.ndarray, ks: range | list[int], *, seed: int = 0, n_init: int = 5
+    X: np.ndarray, ks: range | list[int], *, n_init: int = 5
 ) -> list[tuple[int, float]]:
-    """WCSS for each k — the data behind the paper's Figure 1."""
-    return [(k, kmeans(X, k, seed=seed + k, n_init=n_init)[2]) for k in ks]
+    """WCSS for each k, seeded with k — the data behind the paper's Figure 1."""
+    return [(k, kmeans(X, k, seed=k, n_init=n_init)[2]) for k in ks]
 
 
 def _chord_distances(

@@ -22,6 +22,8 @@ from ..recipedb.vocab import MIN_SUPPORT, REGIONS
 # scores > 0.5 (see tests); smooth convex decay scores well under it.
 SHARP_KNEE_THRESHOLD = 0.35
 
+KS = range(1, 11)  # the k values of Fig 1
+
 
 @dataclass
 class ElbowResult:
@@ -35,14 +37,13 @@ def elbow(
     recipes: DataFrame,
     *,
     min_support: float = MIN_SUPPORT,
-    ks: range = range(1, 11),
     mined: DataFrame | None = None,
 ) -> ElbowResult:
     """Run the elbow analysis; pass ``mined`` to reuse a mining result."""
     if mined is None:
         mined = mine_all_regions(recipes, min_support)
     features, _ = feature_matrix(mined, REGIONS)
-    curve = wcss_curve(features, ks)
+    curve = wcss_curve(features, KS)
     strength = knee_strength(curve)
     return ElbowResult(
         curve=pd.DataFrame(curve, columns=["k", "wcss"]),

@@ -8,7 +8,7 @@ from repro.core.elbow import SHARP_KNEE_THRESHOLD, elbow
 
 @pytest.fixture(scope="module")
 def elbow_result(spark, recipes_small, mined_small):
-    return elbow(recipes_small, mined=mined_small, ks=range(1, 11))
+    return elbow(recipes_small, mined=mined_small)
 
 
 def test_curve_covers_requested_ks(elbow_result):
@@ -38,6 +38,6 @@ def test_knee_strength_bounded(elbow_result):
 
 
 def test_deterministic(spark, recipes_small, mined_small):
-    r1 = elbow(recipes_small, mined=mined_small, ks=range(1, 6))
-    r2 = elbow(recipes_small, mined=mined_small, ks=range(1, 6))
+    r1 = elbow(recipes_small, mined=mined_small)
+    r2 = elbow(recipes_small, mined=mined_small)
     assert r1.curve["wcss"].tolist() == r2.curve["wcss"].tolist()

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.cluster.hac import cophenetic
-from repro.core.validate import closer_than
 from repro.geo.regions import (
     REGION_COORDS,
     geo_distances,
@@ -74,21 +73,24 @@ def test_geo_tree_shape():
 def test_geo_tree_neighbors_cluster_early():
     """UK–Ireland and Belgium–Germany must be cophenetically closer than
     either is to Australia."""
-    Z = geo_tree()
-    assert closer_than(Z, REGIONS, "UK", "Irish", "Australian")
-    assert closer_than(Z, REGIONS, "Belgian", "Deutschland", "Japanese")
+    C = cophenetic(geo_tree())
+    at = REGIONS.index
+    assert C[at("UK"), at("Irish")] < C[at("UK"), at("Australian")]
+    assert C[at("Belgian"), at("Deutschland")] < C[at("Belgian"), at("Japanese")]
 
 
 def test_geo_tree_continents_separate():
     """European regions merge together well below the height at which they
     join the Asia-Pacific block."""
-    Z = geo_tree()
-    assert closer_than(Z, REGIONS, "French", "Italian", "Japanese")
-    assert closer_than(Z, REGIONS, "Mexican", "US", "Thai")
+    C = cophenetic(geo_tree())
+    at = REGIONS.index
+    assert C[at("French"), at("Italian")] < C[at("French"), at("Japanese")]
+    assert C[at("Mexican"), at("US")] < C[at("Mexican"), at("Thai")]
 
 
 def test_geo_tree_canada_us_adjacent():
     """Pure geography puts Canada with the US (the baseline the cuisine
     trees deviate from, per the paper's discussion)."""
-    Z = geo_tree()
-    assert closer_than(Z, REGIONS, "Canadian", "US", "French")
+    C = cophenetic(geo_tree())
+    at = REGIONS.index
+    assert C[at("Canadian"), at("US")] < C[at("Canadian"), at("French")]

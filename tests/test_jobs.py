@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,5 +38,10 @@ def test_experiments_job_runs_without_pythonpath(tmp_path):
     assert "Korean" in out
     assert "| Region | Recipes (paper) |" in out  # Table I as markdown
     assert "top authentic ingredients per cuisine" in out
+    assert re.search(
+        r"cophenetic corr vs geo distances: euclidean=-?0\.\d{4}, "
+        r"cosine=-?0\.\d{4}, jaccard=-?0\.\d{4}, authenticity=-?0\.\d{4}\n",
+        out,
+    )
     # geographic, three FIHC and authenticity trees
     assert out.count("newick:") == 5
