@@ -16,8 +16,8 @@ from repro.mining.apriori import apriori
 from repro.mining.eclat import eclat
 from repro.mining.fpgrowth import fpgrowth
 from repro.mining.spark_fpm import mine_region_mllib
+from repro.recipedb.vocab import MIN_SUPPORT
 
-MIN_SUPPORT = 0.2
 REGIONS_UNDER_TEST = ["Italian", "Northern Africa"]
 
 

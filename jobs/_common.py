@@ -20,6 +20,8 @@ sys.path.insert(0, SRC)
 _path = os.environ.get("PYTHONPATH")
 os.environ["PYTHONPATH"] = SRC + (os.pathsep + _path if _path else "")
 
+from repro.recipedb.vocab import MIN_SUPPORT  # noqa: E402  (needs SRC on sys.path)
+
 
 def build_session(app: str) -> SparkSession:
     return (
@@ -36,6 +38,9 @@ def base_parser(description: str) -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=1.0, help="dataset scale factor")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument(
-        "--min-support", type=float, default=0.2, help="FP-Growth support threshold"
+        "--min-support",
+        type=float,
+        default=MIN_SUPPORT,
+        help="FP-Growth support threshold",
     )
     return p

@@ -63,7 +63,7 @@ def main() -> None:
     print(ar.geo_scores.to_string(index=False))
     print("probes:", ar.probes)
     print("top authentic ingredients per cuisine:")
-    tops = top_authentic_items(ar.matrix, ar.items, REGIONS, k=3)
+    tops = top_authentic_items(ar.matrix, ar.items, k=3)
     print(tops[tops["side"] == "most"].to_string(index=False))
 
     # Fig 6 read as the great-circle distances themselves rather than as

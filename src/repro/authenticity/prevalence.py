@@ -28,13 +28,13 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from ..recipedb.vocab import REGIONS
 
-def prevalence(
-    recipes: DataFrame, regions: list[str]
-) -> tuple[np.ndarray, list[str]]:
+
+def prevalence(recipes: DataFrame) -> tuple[np.ndarray, list[str]]:
     """Dense cuisine × ingredient prevalence matrix P (eq. 1).
 
-    Rows follow ``regions``; columns are the sorted ingredient vocabulary.
+    Rows follow ``REGIONS``; columns are the sorted ingredient vocabulary.
     An ingredient a cuisine never uses has prevalence 0 there. One query:
     each recipe's ingredients are exploded behind a null sentinel, so the
     null rows of the (region, item) count are the N_c.
@@ -50,44 +50,43 @@ def prevalence(
         .count()
         .toPandas()
     )
-    row = pd.Categorical(counts["region"], categories=regions).codes
+    row = pd.Categorical(counts["region"], categories=REGIONS).codes
     if (row < 0).any():
-        unknown = sorted(set(counts["region"]) - set(regions))
-        raise ValueError(f"recipes from regions not in `regions`: {unknown}")
+        unknown = sorted(set(counts["region"]) - set(REGIONS))
+        raise ValueError(f"recipes from regions not in REGIONS: {unknown}")
     item = pd.Categorical(counts["item"])  # a null sentinel gets code -1
     count = counts["count"].to_numpy()
     sentinel = item.codes < 0
-    n_c = np.zeros(len(regions), dtype=np.int64)
+    n_c = np.zeros(len(REGIONS), dtype=np.int64)
     n_c[row[sentinel]] = count[sentinel]
     ing = ~sentinel
-    P = np.zeros((len(regions), len(item.categories)), dtype=np.float64)
+    P = np.zeros((len(REGIONS), len(item.categories)), dtype=np.float64)
     P[row[ing], item.codes[ing]] = count[ing] / n_c[row[ing]]
     return P, list(item.categories)
 
 
-def authenticity_matrix(
-    recipes: DataFrame, regions: list[str]
-) -> tuple[np.ndarray, list[str]]:
+def authenticity_matrix(recipes: DataFrame) -> tuple[np.ndarray, list[str]]:
     """Dense cuisine × ingredient relative-prevalence matrix (eq. 2).
 
-    Rows follow ``regions``; columns are the sorted ingredient vocabulary.
+    Rows follow ``REGIONS``; columns are the sorted ingredient vocabulary.
     An item absent from cuisine c gets P_i^c = 0 but still a (negative)
     relative prevalence — "least prevalent items contribute to the culinary
     fingerprint" (Section V-B) — which the dense form represents exactly.
     """
-    P, items = prevalence(recipes, regions)
+    P, items = prevalence(recipes)
     # p_i^c = P_i^c - (sum_k P_i^k - P_i^c) / (n - 1)
-    rel = P - (P.sum(axis=0, keepdims=True) - P) / (len(regions) - 1)
+    rel = P - (P.sum(axis=0, keepdims=True) - P) / (len(REGIONS) - 1)
     return rel, items
 
 
 def top_authentic_items(
-    rel_matrix: np.ndarray, items: list[str], regions: list[str], k: int = 5
+    rel_matrix: np.ndarray, items: list[str], k: int
 ) -> pd.DataFrame:
-    """Most-positive and most-negative authenticity items per cuisine —
-    the "culinary fingerprint" view used for qualitative inspection."""
+    """Most-positive and most-negative authenticity items per cuisine, rows
+    of ``rel_matrix`` in ``REGIONS`` order — the "culinary fingerprint" view
+    used for qualitative inspection."""
     rows = []
-    for i, region in enumerate(regions):
+    for i, region in enumerate(REGIONS):
         order = np.argsort(rel_matrix[i])
         for j in order[-k:][::-1]:
             rows.append((region, items[j], float(rel_matrix[i, j]), "most"))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+N_INIT = 5      # k-means++ restarts per fit; the best WCSS wins
 MAX_ITER = 100  # Lloyd iterations per restart
 TOL = 1e-8      # stop once WCSS improves by no more than this
 
@@ -33,13 +34,9 @@ def _kpp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def kmeans(
-    X: np.ndarray,
-    k: int,
-    *,
-    seed: int = 0,
-    n_init: int = 5,
+    X: np.ndarray, k: int, *, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Best-of-``n_init`` Lloyd's iterations.
+    """Best-of-``N_INIT`` Lloyd's iterations.
 
     Returns (labels, centers, wcss) for the restart with lowest WCSS.
     """
@@ -49,7 +46,7 @@ def kmeans(
         raise ValueError(f"k must be in [1, {n}]")
     rng = np.random.default_rng(seed)
     best: tuple[np.ndarray, np.ndarray, float] | None = None
-    for _ in range(n_init):
+    for _ in range(N_INIT):
         centers = _kpp_init(X, k, rng)
         labels = np.zeros(n, dtype=np.int64)
         prev = np.inf
@@ -76,11 +73,9 @@ def kmeans(
     return best
 
 
-def wcss_curve(
-    X: np.ndarray, ks: range | list[int], *, n_init: int = 5
-) -> list[tuple[int, float]]:
+def wcss_curve(X: np.ndarray, ks: range | list[int]) -> list[tuple[int, float]]:
     """WCSS for each k, seeded with k — the data behind the paper's Figure 1."""
-    return [(k, kmeans(X, k, seed=k, n_init=n_init)[2]) for k in ks]
+    return [(k, kmeans(X, k, seed=k)[2]) for k in ks]
 
 
 def _chord_distances(

@@ -14,7 +14,6 @@ from pyspark.sql import DataFrame
 from ..authenticity.prevalence import authenticity_matrix
 from ..cluster.distance import pdist
 from ..cluster.hac import linkage
-from ..recipedb.vocab import REGIONS
 from .validate import geo_scores
 
 
@@ -30,7 +29,7 @@ class AuthenticityResult:
 def authenticity_clustering(recipes: DataFrame) -> AuthenticityResult:
     """Cluster cuisines by relative ingredient prevalence (paper Fig 5:
     "Authenticity of Ingredients"): Euclidean distance, average linkage."""
-    rel, items = authenticity_matrix(recipes, REGIONS)
+    rel, items = authenticity_matrix(recipes)
     Z = linkage(pdist(rel, "euclidean"))
     scores, probes = geo_scores({"authenticity-euclidean": Z})
     return AuthenticityResult(

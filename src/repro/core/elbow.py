@@ -14,8 +14,6 @@ from pyspark.sql import DataFrame
 
 from ..cluster.kmeans import knee_k, knee_strength, wcss_curve
 from ..mining.patterns import feature_matrix
-from ..mining.spark_fpm import mine_all_regions
-from ..recipedb.vocab import MIN_SUPPORT, REGIONS
 
 # Below this normalised-knee threshold we call the curve "elbow-less". A
 # synthetic curve with a true crisp elbow (WCSS flat after the true k)
@@ -33,16 +31,11 @@ class ElbowResult:
     has_sharp_elbow: bool
 
 
-def elbow(
-    recipes: DataFrame,
-    *,
-    min_support: float = MIN_SUPPORT,
-    mined: DataFrame | None = None,
-) -> ElbowResult:
-    """Run the elbow analysis; pass ``mined`` to reuse a mining result."""
-    if mined is None:
-        mined = mine_all_regions(recipes, min_support)
-    features, _ = feature_matrix(mined, REGIONS)
+def elbow(recipes: DataFrame, *, mined: DataFrame) -> ElbowResult:
+    """Run the elbow analysis over the caller's mining result ``mined``.
+    ``recipes`` is unused; it stays a parameter because existing callers
+    pass it."""
+    features, _ = feature_matrix(mined)
     curve = wcss_curve(features, KS)
     strength = knee_strength(curve)
     return ElbowResult(

@@ -15,8 +15,7 @@ from pyspark.sql import DataFrame
 from ..cluster.distance import METRICS, pdist
 from ..cluster.hac import linkage
 from ..mining.patterns import feature_matrix
-from ..mining.spark_fpm import mine_all_regions
-from ..recipedb.vocab import MIN_SUPPORT, REGIONS
+from ..recipedb.vocab import REGIONS
 from .validate import geo_scores
 
 
@@ -31,22 +30,16 @@ class FihcResult:
     probes: dict[str, dict[str, bool]]   # metric -> relationship probes
 
 
-def fihc(
-    recipes: DataFrame,
-    *,
-    min_support: float = MIN_SUPPORT,
-    mined: DataFrame | None = None,
-) -> FihcResult:
+def fihc(recipes: DataFrame, *, mined: DataFrame) -> FihcResult:
     """Run the full FIHC pipeline (average linkage, every metric in
-    ``METRICS``); pass ``mined`` to reuse a mining result.
+    ``METRICS``) over the caller's mining result ``mined``. ``recipes`` is
+    unused; it stays a parameter because existing callers pass it.
 
     Raises ``ValueError`` naming every cuisine that mined no pattern: its
     all-zero feature row has no cosine distance, and Jaccard would put all
     such cuisines at distance 0 from each other.
     """
-    if mined is None:
-        mined = mine_all_regions(recipes, min_support)
-    X, patterns = feature_matrix(mined, REGIONS)
+    X, patterns = feature_matrix(mined)
     empty = [r for r, row in zip(REGIONS, X) if not row.any()]
     if empty:
         raise ValueError(

@@ -19,6 +19,8 @@ from __future__ import annotations
 import numpy as np
 from pyspark.sql import DataFrame
 
+from ..recipedb.vocab import REGIONS
+
 SEPARATOR = " + "
 
 
@@ -27,12 +29,10 @@ def canon_pattern(items) -> str:
     return SEPARATOR.join(sorted(items))
 
 
-def feature_matrix(
-    mined: DataFrame, regions: list[str]
-) -> tuple[np.ndarray, list[str]]:
+def feature_matrix(mined: DataFrame) -> tuple[np.ndarray, list[str]]:
     """Binary cuisine × pattern incidence matrix.
 
-    Rows follow ``regions`` order; columns are the distinct canonical
+    Rows follow ``REGIONS`` order; columns are the distinct canonical
     patterns in sorted order (their label-encoded ids). A region with no
     mined pattern gets an all-zero row.
     """
@@ -44,11 +44,11 @@ def feature_matrix(
         raise ValueError("no mined patterns to vectorise")
     patterns = sorted({p for _, p in rows})
     col = {p: j for j, p in enumerate(patterns)}
-    idx = {r: i for i, r in enumerate(regions)}
+    idx = {r: i for i, r in enumerate(REGIONS)}
     unknown = sorted({r for r, _ in rows} - idx.keys())
     if unknown:
-        raise ValueError(f"patterns from regions not in `regions`: {unknown}")
-    mat = np.zeros((len(regions), len(patterns)), dtype=np.float64)
+        raise ValueError(f"patterns from regions not in REGIONS: {unknown}")
+    mat = np.zeros((len(REGIONS), len(patterns)), dtype=np.float64)
     for region, pattern in rows:
         mat[idx[region], col[pattern]] = 1.0
     return mat, patterns

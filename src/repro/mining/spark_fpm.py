@@ -38,9 +38,7 @@ MINED_SCHEMA = T.StructType(
 )
 
 
-def mine_all_regions(
-    recipes: DataFrame, min_support: float = 0.2
-) -> DataFrame:
+def mine_all_regions(recipes: DataFrame, min_support: float) -> DataFrame:
     """Mine every cuisine in one grouped map.
 
     The recipes are hash-partitioned by region into ``defaultParallelism``
@@ -70,7 +68,7 @@ def mine_all_regions(
 
 
 def mine_region_mllib(
-    recipes: DataFrame, region: str, min_support: float = 0.2
+    recipes: DataFrame, region: str, min_support: float
 ) -> DataFrame:
     """Mine one cuisine with Spark MLlib FPGrowth.
 

@@ -41,3 +41,9 @@ def test_deterministic(spark, recipes_small, mined_small):
     r1 = elbow(recipes_small, mined=mined_small)
     r2 = elbow(recipes_small, mined=mined_small)
     assert r1.curve["wcss"].tolist() == r2.curve["wcss"].tolist()
+
+
+def test_elbow_runs_on_the_driver(spark_jobs, recipes_small, mined_small):
+    """The elbow mines nothing itself: its one Spark job is the collect of
+    the caller's mined frame; k-means is NumPy."""
+    assert spark_jobs(lambda: elbow(recipes_small, mined=mined_small)) == 1

@@ -117,3 +117,9 @@ def test_fihc_names_cuisines_that_mined_nothing(spark, recipes_small):
     for region in missing:
         assert region in str(err.value)
     assert "Japanese" not in str(err.value)
+
+
+def test_fihc_runs_on_the_driver(spark_jobs, recipes_small, mined_small):
+    """FIHC mines nothing itself: its one Spark job is the collect of the
+    caller's mined frame; encoding, distances and HAC are NumPy."""
+    assert spark_jobs(lambda: fihc(recipes_small, mined=mined_small)) == 1

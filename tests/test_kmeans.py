@@ -55,7 +55,7 @@ def test_k_bounds(blobs):
 
 
 def test_wcss_nonincreasing_in_k(blobs):
-    curve = wcss_curve(blobs, range(1, 8), n_init=8)
+    curve = wcss_curve(blobs, range(1, 8))
     ws = [w for _, w in curve]
     # modulo tiny local-optimum noise, WCSS decreases with k
     for a, b in zip(ws, ws[1:]):
@@ -64,7 +64,7 @@ def test_wcss_nonincreasing_in_k(blobs):
 
 def test_sharp_elbow_detected(blobs):
     """3 well-separated blobs -> crisp elbow at k=3."""
-    curve = wcss_curve(blobs, range(1, 9), n_init=8)
+    curve = wcss_curve(blobs, range(1, 9))
     assert knee_strength(curve) > 0.5
     assert knee_k(curve) == 3
 

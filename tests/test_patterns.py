@@ -21,20 +21,20 @@ def test_canon_pattern_single():
 
 
 def test_feature_matrix_binary_and_shaped(spark, mined_small):
-    X, patterns = feature_matrix(mined_small, REGIONS)
+    X, patterns = feature_matrix(mined_small)
     assert X.shape == (26, len(patterns))
     assert X.dtype == np.float64
     assert set(np.unique(X)) <= {0.0, 1.0}
 
 
 def test_feature_matrix_columns_are_sorted_universe(spark, mined_small, mined_small_pdf):
-    _, patterns = feature_matrix(mined_small, REGIONS)
+    _, patterns = feature_matrix(mined_small)
     assert patterns == sorted(set(mined_small_pdf["items"].map(canon_pattern)))
 
 
 def test_feature_matrix_matches_membership(spark, mined_small, mined_small_pdf):
     """The whole matrix, all 26 regions, against a pure-Python build."""
-    X, patterns = feature_matrix(mined_small, REGIONS)
+    X, patterns = feature_matrix(mined_small)
     mined = {
         (region, canon_pattern(items))
         for region, items in zip(mined_small_pdf["region"], mined_small_pdf["items"])
@@ -50,21 +50,15 @@ def test_feature_matrix_matches_membership(spark, mined_small, mined_small_pdf):
         assert X[REGIONS.index(region)].sum() == counts[region]
 
 
-def test_feature_matrix_region_order(spark, mined_small):
-    X1, _ = feature_matrix(mined_small, REGIONS)
-    rev = list(reversed(REGIONS))
-    X2, _ = feature_matrix(mined_small, rev)
-    assert np.array_equal(X1[::-1], X2)
-
-
 def test_feature_matrix_rejects_empty(spark, mined_small):
     with pytest.raises(ValueError, match="no mined patterns"):
-        feature_matrix(mined_small.filter(F.lit(False)), REGIONS)
+        feature_matrix(mined_small.filter(F.lit(False)))
 
 
-def test_feature_matrix_rejects_unlisted_region(spark, mined_small):
-    with pytest.raises(ValueError, match="Korean"):
-        feature_matrix(mined_small, [r for r in REGIONS if r != "Korean"])
+def test_feature_matrix_rejects_unlisted_region(spark):
+    pdf = pd.DataFrame({"region": ["Atlantis"], "items": [["x"]], "freq": [3]})
+    with pytest.raises(ValueError, match="Atlantis"):
+        feature_matrix(spark.createDataFrame(pdf, schema=MINED_SCHEMA))
 
 
 def test_feature_matrix_zero_row_for_unmined_region(spark):
@@ -72,13 +66,14 @@ def test_feature_matrix_zero_row_for_unmined_region(spark):
     layer that rejects it)."""
     pdf = pd.DataFrame(
         {
-            "region": ["A", "A", "C"],
+            "region": ["Korean", "Korean", "Thai"],
             "items": [["x"], ["x", "y"], ["y"]],
             "freq": [3, 2, 4],
         }
     )
-    X, patterns = feature_matrix(
-        spark.createDataFrame(pdf, schema=MINED_SCHEMA), ["A", "B", "C"]
-    )
+    X, patterns = feature_matrix(spark.createDataFrame(pdf, schema=MINED_SCHEMA))
     assert patterns == ["x", "x + y", "y"]
-    assert X.tolist() == [[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    expected = np.zeros((26, 3))
+    expected[REGIONS.index("Korean")] = [1.0, 1.0, 0.0]
+    expected[REGIONS.index("Thai")] = [0.0, 0.0, 1.0]
+    assert X.tolist() == expected.tolist()

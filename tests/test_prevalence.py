@@ -28,7 +28,7 @@ def long_ingredients(recipes_small_pdf) -> pd.DataFrame:
 
 @pytest.fixture(scope="module")
 def prev_small(spark, recipes_small):
-    return prevalence(recipes_small, REGIONS)
+    return prevalence(recipes_small)
 
 
 def test_prevalence_oracle_cuisine_norm(prev_small, long_ingredients, recipes_small_pdf):
@@ -78,7 +78,7 @@ def test_relative_prevalence_window_matches_dense(spark, recipes_small, recipes_
     """Reference for eq. 2: for a sample of items and every cuisine c,
     P_i^c minus the mean of P_i^k over the other 25 cuisines, by an
     explicit loop over recipe sets, against the dense NumPy matrix."""
-    rel, items = authenticity_matrix(recipes_small, REGIONS)
+    rel, items = authenticity_matrix(recipes_small)
     recipes_of = {
         region: [set(ing) for ing in group["ingredients"]]
         for region, group in recipes_small_pdf.groupby("region")
@@ -97,36 +97,35 @@ def test_relative_prevalence_window_matches_dense(spark, recipes_small, recipes_
             assert rel[c, j] == pytest.approx(want, abs=1e-12)
 
 
-def test_authenticity_matrix_follows_region_order(spark, recipes_small, prev_small):
-    """Rows follow ``regions``: the reversed list gives the reversed rows
-    (eq. 2 sums the rows in the other order, hence the tolerance)."""
-    P, items = prev_small
-    P_rev, items_rev = prevalence(recipes_small, REGIONS[::-1])
-    assert items_rev == items
-    assert np.array_equal(P_rev, P[::-1])
-    rel, _ = authenticity_matrix(recipes_small, REGIONS)
-    rel_rev, _ = authenticity_matrix(recipes_small, REGIONS[::-1])
-    np.testing.assert_allclose(rel_rev, rel[::-1], rtol=0, atol=1e-12)
-
-
-def test_prevalence_rejects_unlisted_region(spark, recipes_small):
-    with pytest.raises(ValueError, match="Korean"):
-        prevalence(recipes_small, [r for r in REGIONS if r != "Korean"])
+def test_prevalence_rejects_unlisted_region(spark):
+    pdf = pd.DataFrame(
+        {
+            "region": ["Atlantis"],
+            "recipe_id": [0],
+            "ingredients": [["salt"]],
+            "processes": [["boil"]],
+            "utensils": [["pot"]],
+            "items": [["boil", "pot", "salt"]],
+        }
+    )
+    with pytest.raises(ValueError, match="Atlantis"):
+        prevalence(spark.createDataFrame(pdf, RECIPE_SCHEMA))
 
 
 def test_prevalence_two_jobs(spark_jobs, recipes_small):
     """T4's counts are one query: a shuffle map stage and a collect."""
-    assert spark_jobs(lambda: prevalence(recipes_small, REGIONS)) <= 2
+    assert spark_jobs(lambda: prevalence(recipes_small)) <= 2
 
 
 def test_relative_prevalence_column_identity(spark):
-    """Hand-made frame: in cuisine A one of two recipes has salt and the
-    other no ingredients, so P = 0.5 (N_c counts recipes, not ingredient
-    rows); cuisine B has no ingredients at all, so its row is 0. For each
-    item sum_c p_i^c = S_i - (n S_i - S_i)/(n - 1) = 0, and it is finite."""
+    """Hand-made frame: in Korean one of two recipes has salt and the other
+    no ingredients, so P = 0.5 (N_c counts recipes, not ingredient rows);
+    Thai has no ingredients at all and the other 24 cuisines no recipes, so
+    their rows are 0. For each item sum_c p_i^c = S_i - (n S_i - S_i)/(n - 1)
+    = 0, and it is finite."""
     pdf = pd.DataFrame(
         {
-            "region": ["A", "A", "B"],
+            "region": ["Korean", "Korean", "Thai"],
             "recipe_id": [0, 1, 2],
             "ingredients": [["salt"], [], []],
             "processes": [["boil"], ["fry"], ["boil"]],
@@ -135,17 +134,22 @@ def test_relative_prevalence_column_identity(spark):
         }
     )
     df = spark.createDataFrame(pdf, RECIPE_SCHEMA)
-    P, items = prevalence(df, ["A", "B"])
+    korean = REGIONS.index("Korean")
+    P, items = prevalence(df)
     assert items == ["salt"]
-    assert P.tolist() == [[0.5], [0.0]]
-    rel, _ = authenticity_matrix(df, ["A", "B"])
+    want = np.zeros((26, 1))
+    want[korean] = 0.5
+    assert P.tolist() == want.tolist()
+    rel, _ = authenticity_matrix(df)
     assert np.isfinite(rel).all()
-    assert rel.tolist() == [[0.5], [-0.5]]
+    want = np.full((26, 1), -0.5 / 25)
+    want[korean] = 0.5
+    assert rel.tolist() == want.tolist()
     assert np.allclose(rel.sum(axis=0), 0.0)
 
 
 def test_authenticity_matrix_shape_and_items_sorted(spark, recipes_small):
-    rel, items = authenticity_matrix(recipes_small, REGIONS)
+    rel, items = authenticity_matrix(recipes_small)
     assert rel.shape == (26, len(items))
     assert items == sorted(items)
 
@@ -153,7 +157,7 @@ def test_authenticity_matrix_shape_and_items_sorted(spark, recipes_small):
 def test_authenticity_matrix_absent_item_negative(spark, recipes_small):
     """An item a cuisine never uses must get a strictly negative relative
     prevalence there if others use it (the "least prevalent" fingerprint)."""
-    rel, items = authenticity_matrix(recipes_small, REGIONS)
+    rel, items = authenticity_matrix(recipes_small)
     j = items.index("soy sauce")
     greek = rel[REGIONS.index("Greek"), j]
     japanese = rel[REGIONS.index("Japanese"), j]
@@ -161,8 +165,8 @@ def test_authenticity_matrix_absent_item_negative(spark, recipes_small):
 
 
 def test_top_authentic_items_shape(spark, recipes_small):
-    rel, items = authenticity_matrix(recipes_small, REGIONS)
-    tops = top_authentic_items(rel, items, REGIONS, k=4)
+    rel, items = authenticity_matrix(recipes_small)
+    tops = top_authentic_items(rel, items, k=4)
     assert len(tops) == 26 * 8
     assert set(tops["side"]) == {"most", "least"}
 
@@ -170,8 +174,8 @@ def test_top_authentic_items_shape(spark, recipes_small):
 def test_top_authentic_items_signature(spark, recipes_small):
     """Each cuisine's signature items should surface among its most
     authentic ingredients."""
-    rel, items = authenticity_matrix(recipes_small, REGIONS)
-    tops = top_authentic_items(rel, items, REGIONS, k=8)
+    rel, items = authenticity_matrix(recipes_small)
+    tops = top_authentic_items(rel, items, k=8)
     jp = set(tops[(tops["region"] == "Japanese") & (tops["side"] == "most")]["item"])
     assert "soy sauce" in jp
     mx = set(tops[(tops["region"] == "Mexican") & (tops["side"] == "most")]["item"])
