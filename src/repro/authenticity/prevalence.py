@@ -18,8 +18,10 @@ i.e. the item's prevalence in *c* minus its mean prevalence over all other
 cuisines. Both the most positive and most negative entries fingerprint a
 cuisine. Spark does the one large step, one (region, ingredient) count over
 the ~1.2M exploded ingredient rows, each recipe's list led by a null
-sentinel whose count is N_c. The 26 × ingredient matrix and eq. 2 are NumPy
-on the driver.
+sentinel whose count is N_c. Like every recipe aggregation, it reads the
+cached frame one task per core (coalesced to ``defaultParallelism``
+partitions before the shuffle). The 26 × ingredient matrix and eq. 2 are
+NumPy on the driver.
 """
 from __future__ import annotations
 
@@ -39,8 +41,10 @@ def prevalence(recipes: DataFrame) -> tuple[np.ndarray, list[str]]:
     each recipe's ingredients are exploded behind a null sentinel, so the
     null rows of the (region, item) count are the N_c.
     """
+    cores = recipes.sparkSession.sparkContext.defaultParallelism
     counts = (
-        recipes.select(
+        recipes.coalesce(cores)
+        .select(
             "region",
             F.explode(
                 F.concat(F.array(F.lit(None).cast("string")), "ingredients")

@@ -15,6 +15,10 @@ freq), cross-validated in tests:
 Also provides :func:`pattern_support`, a Spark SQL containment query used
 to measure the support of the paper's *named* patterns directly from the
 data (independent of any miner) — oracle-checked against DuckDB.
+
+Both read the recipes one task per core, as every recipe aggregation does:
+the miner repartitions by region to ``defaultParallelism`` partitions, and
+``pattern_support`` coalesces to that many before its shuffle.
 """
 from __future__ import annotations
 
@@ -113,7 +117,8 @@ def pattern_support(
                 F.col(f"p{k}").alias("freq"),
             )
         )
-    wide = recipes.groupBy("region").agg(*aggs)
+    cores = recipes.sparkSession.sparkContext.defaultParallelism
+    wide = recipes.coalesce(cores).groupBy("region").agg(*aggs)
     return wide.select(
         "region", "n_recipes", F.explode(F.array(*pairs)).alias("pf")
     ).select(

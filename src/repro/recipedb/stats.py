@@ -4,6 +4,11 @@ Reproduces the numbers the paper reports about RecipeDB: total recipes,
 unique ingredient / process / utensil counts, average items per recipe by
 type, and the number of recipes without utensil information. (Table I's
 per-region recipe counts come from ``spark_fpm.pattern_support``.)
+
+Like every recipe aggregation, the query reads the cached frame one task
+per core: it coalesces the recipes to ``defaultParallelism`` partitions
+before its shuffle, so the 28 Arrow-batch partitions of the scale-1.0
+frame do not each write ``spark.sql.shuffle.partitions`` blocks.
 """
 from __future__ import annotations
 
@@ -32,7 +37,8 @@ def dataset_summary(recipes: DataFrame) -> pd.DataFrame:
     """
     n_ing, n_proc = F.col("n_ing"), F.col("n_proc")
     pos = F.col("pos")
-    exploded = recipes.select(
+    cores = recipes.sparkSession.sparkContext.defaultParallelism
+    exploded = recipes.coalesce(cores).select(
         F.posexplode(
             F.concat(F.array(F.lit(None).cast("string")), *ITEM_COLUMNS)
         ).alias("pos", "item"),
@@ -53,6 +59,8 @@ def dataset_summary(recipes: DataFrame) -> pd.DataFrame:
     total, uniq = per_column.sum(), per_column.size()
     n_no_utensils = int(total.get(_NO_UTENSILS, 0))
     n = int(total.get(_RECIPE, 0)) + n_no_utensils
+    if n == 0:
+        raise ValueError("dataset_summary: the frame holds no recipes")
     return pd.DataFrame(
         [("total_recipes", n)]
         + [(f"unique_{c}", int(uniq.get(i, 0))) for i, c in enumerate(ITEM_COLUMNS)]

@@ -49,10 +49,13 @@ def mined_small_pdf(mined_small) -> pd.DataFrame:
 @pytest.fixture
 def spark_jobs(spark):
     """``spark_jobs(fn)`` calls ``fn()`` and returns how many Spark jobs it
-    launched, counted through a job group and ``statusTracker``."""
+    launched, counted through a job group and ``statusTracker``;
+    ``spark_jobs.stage_tasks(fn)`` returns the task count of each stage of
+    those jobs instead."""
     sc = spark.sparkContext
+    tracker = sc.statusTracker()
 
-    def count(fn) -> int:
+    def job_ids(fn) -> list[int]:
         group = f"spark-jobs-{uuid.uuid4().hex}"
         sc.setJobGroup(group, group)
         try:
@@ -60,6 +63,17 @@ def spark_jobs(spark):
         finally:
             sc.setLocalProperty("spark.jobGroup.id", None)
             sc.setLocalProperty("spark.job.description", None)
-        return len(sc.statusTracker().getJobIdsForGroup(group))
+        return tracker.getJobIdsForGroup(group)
 
+    def count(fn) -> int:
+        return len(job_ids(fn))
+
+    def stage_tasks(fn) -> list[int]:
+        return [
+            tracker.getStageInfo(stage).numTasks
+            for job in job_ids(fn)
+            for stage in tracker.getJobInfo(job).stageIds
+        ]
+
+    count.stage_tasks = stage_tasks
     return count

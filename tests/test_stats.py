@@ -145,3 +145,9 @@ def test_dataset_summary_without_any_utensils(spark, pdf, expected):
     items, and each item is counted in the column it came from."""
     s = dataset_summary(spark.createDataFrame(pdf, RECIPE_SCHEMA))
     assert s.set_index("metric")["value"].to_dict() == expected
+
+
+def test_dataset_summary_rejects_empty_frame(spark):
+    """No recipes means no averages: a clear error, not a ZeroDivisionError."""
+    with pytest.raises(ValueError, match="no recipes"):
+        dataset_summary(spark.createDataFrame([], RECIPE_SCHEMA))
