@@ -58,7 +58,7 @@ def _driver_mem() -> str:
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
-    f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
+    "--master local[*] "
     f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
     f"--conf spark.driver.host=127.0.0.1 "
     f"--conf spark.ui.enabled=false "

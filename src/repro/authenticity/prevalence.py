@@ -30,17 +30,16 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from ..recipedb.vocab import REGIONS
+from ..recipedb.vocab import REGIONS, cuisine_matrix
 
 
 def prevalence(recipes: DataFrame) -> tuple[np.ndarray, list[str]]:
-    """Dense cuisine × ingredient prevalence matrix P (eq. 1).
-
-    Rows follow ``REGIONS``; columns are the sorted ingredient vocabulary.
-    An ingredient a cuisine never uses has prevalence 0 there. One query:
-    each recipe's ingredients are exploded behind a null sentinel, so the
-    null rows of the (region, item) count are the N_c.
-    """
+    """Dense cuisine × ingredient prevalence matrix P (eq. 1), laid out by
+    ``cuisine_matrix`` over the sorted ingredient vocabulary; an ingredient
+    a cuisine never uses has prevalence 0 there. One query: each recipe's
+    ingredients are exploded behind a null sentinel, so the null rows of
+    the (region, item) count are the N_c. Raises ``ValueError`` for a
+    frame with no recipes."""
     cores = recipes.sparkSession.sparkContext.defaultParallelism
     counts = (
         recipes.coalesce(cores)
@@ -54,29 +53,20 @@ def prevalence(recipes: DataFrame) -> tuple[np.ndarray, list[str]]:
         .count()
         .toPandas()
     )
-    row = pd.Categorical(counts["region"], categories=REGIONS).codes
-    if (row < 0).any():
-        unknown = sorted(set(counts["region"]) - set(REGIONS))
-        raise ValueError(f"recipes from regions not in REGIONS: {unknown}")
-    item = pd.Categorical(counts["item"])  # a null sentinel gets code -1
-    count = counts["count"].to_numpy()
-    sentinel = item.codes < 0
-    n_c = np.zeros(len(REGIONS), dtype=np.int64)
-    n_c[row[sentinel]] = count[sentinel]
-    ing = ~sentinel
-    P = np.zeros((len(REGIONS), len(item.categories)), dtype=np.float64)
-    P[row[ing], item.codes[ing]] = count[ing] / n_c[row[ing]]
-    return P, list(item.categories)
+    if counts.empty:
+        raise ValueError("prevalence: the frame holds no recipes")
+    # Each row's N_c: the count of its region's sentinel row.
+    sentinel = counts["item"].isna()
+    n_c = counts["count"].where(sentinel).groupby(counts["region"]).transform("max")
+    return cuisine_matrix(counts["region"], counts["item"], counts["count"] / n_c)
 
 
 def authenticity_matrix(recipes: DataFrame) -> tuple[np.ndarray, list[str]]:
-    """Dense cuisine × ingredient relative-prevalence matrix (eq. 2).
-
-    Rows follow ``REGIONS``; columns are the sorted ingredient vocabulary.
-    An item absent from cuisine c gets P_i^c = 0 but still a (negative)
-    relative prevalence — "least prevalent items contribute to the culinary
-    fingerprint" (Section V-B) — which the dense form represents exactly.
-    """
+    """Dense cuisine × ingredient relative-prevalence matrix (eq. 2), laid
+    out as ``prevalence``. An item absent from cuisine c gets P_i^c = 0 but
+    still a (negative) relative prevalence — "least prevalent items
+    contribute to the culinary fingerprint" (Section V-B) — which the dense
+    form represents exactly."""
     P, items = prevalence(recipes)
     # p_i^c = P_i^c - (sum_k P_i^k - P_i^c) / (n - 1)
     rel = P - (P.sum(axis=0, keepdims=True) - P) / (len(REGIONS) - 1)

@@ -33,8 +33,8 @@ class ElbowResult:
 
 def elbow(recipes: DataFrame, *, mined: DataFrame) -> ElbowResult:
     """Run the elbow analysis over the caller's mining result ``mined``.
-    ``recipes`` is unused; it stays a parameter because existing callers
-    pass it."""
+    ``recipes`` is unused; ``perfbench/pipeline.run_pass`` pins it until
+    ROADMAP item 1."""
     features, _ = feature_matrix(mined)
     curve = wcss_curve(features, KS)
     strength = knee_strength(curve)

@@ -33,7 +33,7 @@ class FihcResult:
 def fihc(recipes: DataFrame, *, mined: DataFrame) -> FihcResult:
     """Run the full FIHC pipeline (average linkage, every metric in
     ``METRICS``) over the caller's mining result ``mined``. ``recipes`` is
-    unused; it stays a parameter because existing callers pass it.
+    unused; ``perfbench/pipeline.run_pass`` pins it until ROADMAP item 1.
 
     Raises ``ValueError`` naming every cuisine that mined no pattern: its
     all-zero feature row has no cosine distance, and Jaccard would put all

@@ -32,10 +32,9 @@ def table1(
 
     region, n_recipes (measured), paper_n_recipes, pattern,
     paper_support, support (measured), paper_n_patterns,
-    n_patterns (measured at ``min_support``).
+    n_patterns (measured at ``min_support``). Raises ``ValueError``
+    naming every cuisine with no recipes.
     """
-    mined = mine_all_regions(recipes, min_support)
-    counts = Counter(r["region"] for r in mined.select("region").collect())
     all_patterns = sorted(
         {tuple(sorted(p)) for _, pats, _ in PAPER_TABLE1.values() for p, _ in pats}
     )
@@ -44,6 +43,11 @@ def table1(
         .toPandas()
         .set_index(["region", "pattern"])
     )
+    missing = [r for r in REGIONS if r not in sup.index.get_level_values("region")]
+    if missing:
+        raise ValueError(f"Table I: no recipes for {', '.join(missing)}")
+    mined = mine_all_regions(recipes, min_support)
+    counts = Counter(r["region"] for r in mined.select("region").collect())
     rows = []
     for region in REGIONS:
         paper_n_rec, pats, paper_n_pat = PAPER_TABLE1[region]

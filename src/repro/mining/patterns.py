@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 from pyspark.sql import DataFrame
 
-from ..recipedb.vocab import REGIONS
+from ..recipedb.vocab import cuisine_matrix
 
 SEPARATOR = " + "
 
@@ -30,25 +30,14 @@ def canon_pattern(items) -> str:
 
 
 def feature_matrix(mined: DataFrame) -> tuple[np.ndarray, list[str]]:
-    """Binary cuisine × pattern incidence matrix.
-
-    Rows follow ``REGIONS`` order; columns are the distinct canonical
-    patterns in sorted order (their label-encoded ids). A region with no
-    mined pattern gets an all-zero row.
-    """
-    rows = [
-        (r["region"], canon_pattern(r["items"]))
-        for r in mined.select("region", "items").collect()
-    ]
+    """Binary cuisine × pattern incidence matrix, laid out by
+    ``cuisine_matrix``: columns are the sorted distinct canonical patterns
+    (their label-encoded ids)."""
+    rows = mined.select("region", "items").collect()
     if not rows:
         raise ValueError("no mined patterns to vectorise")
-    patterns = sorted({p for _, p in rows})
-    col = {p: j for j, p in enumerate(patterns)}
-    idx = {r: i for i, r in enumerate(REGIONS)}
-    unknown = sorted({r for r, _ in rows} - idx.keys())
-    if unknown:
-        raise ValueError(f"patterns from regions not in REGIONS: {unknown}")
-    mat = np.zeros((len(REGIONS), len(patterns)), dtype=np.float64)
-    for region, pattern in rows:
-        mat[idx[region], col[pattern]] = 1.0
-    return mat, patterns
+    return cuisine_matrix(
+        [r["region"] for r in rows],
+        [canon_pattern(r["items"]) for r in rows],
+        np.ones(len(rows)),
+    )

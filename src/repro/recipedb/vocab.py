@@ -31,6 +31,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+import pandas as pd
 
 MIN_SUPPORT = 0.2
 """The paper's mining threshold (Section IV)."""
@@ -109,6 +110,22 @@ PAPER_TABLE1: dict[str, tuple[int, list[tuple[tuple[str, ...], float]], int]] = 
 }
 
 REGIONS: list[str] = list(PAPER_TABLE1)
+
+
+def cuisine_matrix(regions, labels, values) -> tuple[np.ndarray, list[str]]:
+    """``len(REGIONS)`` × L float64 matrix of (region, label, value) rows,
+    and its labels: rows in ``REGIONS`` order (all-zero for a cuisine with
+    no row), columns the sorted distinct labels. A null label fills no
+    cell. Raises ``ValueError`` naming every region outside ``REGIONS``."""
+    row = pd.Categorical(regions, categories=REGIONS).codes
+    if (row < 0).any():
+        unknown = sorted(set(regions) - set(REGIONS))
+        raise ValueError(f"rows from regions not in REGIONS: {unknown}")
+    col = pd.Categorical(labels)  # a null label gets code -1
+    cell = col.codes >= 0
+    mat = np.zeros((len(REGIONS), len(col.categories)), dtype=np.float64)
+    mat[row[cell], col.codes[cell]] = np.asarray(values, dtype=np.float64)[cell]
+    return mat, list(col.categories)
 
 
 def slug(region: str) -> str:

@@ -112,6 +112,13 @@ def test_prevalence_rejects_unlisted_region(spark):
         prevalence(spark.createDataFrame(pdf, RECIPE_SCHEMA))
 
 
+def test_prevalence_rejects_empty_frame(spark):
+    """No recipes: no matrix to score, rather than a 26 × 0 one that fails
+    later as a zero-variance tree."""
+    with pytest.raises(ValueError, match="no recipes"):
+        authenticity_matrix(spark.createDataFrame([], RECIPE_SCHEMA))
+
+
 def test_prevalence_two_jobs(spark_jobs, recipes_small):
     """T4's counts are one query: a shuffle map stage and a collect."""
     assert spark_jobs(lambda: prevalence(recipes_small)) <= 2

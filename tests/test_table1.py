@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core.table1 import format_table1, table1
 from repro.mining.spark_fpm import mine_all_regions
+from repro.recipedb.generator import RECIPE_SCHEMA
 from repro.recipedb.vocab import PAPER_TABLE1, REGIONS
 
 ALL_REGIONS = pytest.mark.parametrize("region", REGIONS)
@@ -107,3 +109,15 @@ def test_multi_pattern_regions_have_multiple_rows(t1):
     assert len(t1[t1["region"] == "Northern Africa"]) == 3
     assert len(t1[t1["region"] == "Korean"]) == 2
     assert len(t1[t1["region"] == "UK"]) == 2
+
+
+def test_table1_rejects_empty_frame(spark):
+    with pytest.raises(ValueError, match="no recipes for Australian, Belgian, "):
+        table1(spark.createDataFrame([], RECIPE_SCHEMA))
+
+
+def test_table1_names_every_cuisine_without_recipes(recipes_small):
+    """Two cuisines missing: one error names both, in REGIONS order."""
+    lacking = recipes_small.filter(~F.col("region").isin("Thai", "Korean"))
+    with pytest.raises(ValueError, match="no recipes for Thai, Korean$"):
+        table1(lacking)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.recipedb import vocab as V
@@ -14,6 +15,7 @@ from repro.recipedb.vocab import (
     PROFILES,
     REGIONS,
     Event,
+    cuisine_matrix,
     event_pattern_count,
     item_type,
     plan_blocks,
@@ -262,3 +264,28 @@ def test_profile_fingerprint_pinned():
         )
         h.update((repr(record) + "\n").encode())
     assert h.hexdigest()[:16] == "2d492ee524117ae6"
+
+
+def test_cuisine_matrix_layout():
+    """Rows in REGIONS order whatever the input order, sorted distinct
+    labels as columns, a zero row for every absent cuisine, and a null
+    label that names its region but fills no cell."""
+    mat, labels = cuisine_matrix(
+        ["Thai", "Korean", "Korean", "Thai"],
+        ["y", "x", "y", None],
+        [4.0, 3.0, 2.0, 9.0],
+    )
+    assert labels == ["x", "y"]
+    assert mat.dtype == np.float64
+    want = np.zeros((len(REGIONS), 2))
+    want[REGIONS.index("Korean")] = [3.0, 2.0]
+    want[REGIONS.index("Thai")] = [0.0, 4.0]
+    assert mat.tolist() == want.tolist()
+
+
+def test_cuisine_matrix_rejects_unlisted_regions():
+    with pytest.raises(ValueError, match=r"\['Atlantis', 'Lemuria'\]"):
+        cuisine_matrix(["Thai", "Lemuria", "Atlantis"], ["x", "x", "x"], [1, 1, 1])
+    # A null-label row still has its region checked.
+    with pytest.raises(ValueError, match="Atlantis"):
+        cuisine_matrix(["Atlantis"], [None], [1.0])
