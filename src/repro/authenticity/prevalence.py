@@ -78,7 +78,9 @@ def top_authentic_items(
 ) -> pd.DataFrame:
     """Most-positive and most-negative authenticity items per cuisine, rows
     of ``rel_matrix`` in ``REGIONS`` order — the "culinary fingerprint" view
-    used for qualitative inspection."""
+    used for qualitative inspection. Raises ``ValueError`` for ``k < 1``."""
+    if k < 1:
+        raise ValueError(f"top_authentic_items: k must be >= 1, got {k!r}")
     rows = []
     for i, region in enumerate(REGIONS):
         order = np.argsort(rel_matrix[i])

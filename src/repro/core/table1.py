@@ -20,21 +20,22 @@ from collections import Counter
 import pandas as pd
 from pyspark.sql import DataFrame
 
+from ..mining.fpgrowth import check_min_support
 from ..mining.patterns import canon_pattern
 from ..mining.spark_fpm import mine_all_regions, pattern_support
-from ..recipedb.vocab import MIN_SUPPORT, PAPER_TABLE1, REGIONS
+from ..recipedb.vocab import PAPER_TABLE1, REGIONS
 
 
-def table1(
-    recipes: DataFrame, min_support: float = MIN_SUPPORT
-) -> pd.DataFrame:
+def table1(recipes: DataFrame, min_support: float) -> pd.DataFrame:
     """Reproduce Table I. Returns one row per (region, named pattern):
 
     region, n_recipes (measured), paper_n_recipes, pattern,
     paper_support, support (measured), paper_n_patterns,
     n_patterns (measured at ``min_support``). Raises ``ValueError``
-    naming every cuisine with no recipes.
+    naming every cuisine with no recipes, and for a bad ``min_support``
+    before any Spark work.
     """
+    check_min_support(min_support)
     all_patterns = sorted(
         {tuple(sorted(p)) for _, pats, _ in PAPER_TABLE1.values() for p, _ in pats}
     )

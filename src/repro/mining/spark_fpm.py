@@ -23,6 +23,8 @@ the miner repartitions by region to ``defaultParallelism`` partitions, and
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import reduce
+from operator import and_
 
 import pandas as pd
 from pyspark.sql import DataFrame
@@ -99,32 +101,26 @@ def pattern_support(
     For each pattern P: support = recipes containing all items of P /
     recipes in region. Returns (region, n_recipes, pattern, freq, support)
     where ``n_recipes`` is the region's recipe count and ``pattern`` the
-    canonical " + "-joined sorted string.
+    canonical " + "-joined sorted string. One grouped row per region holds
+    every pattern's count (an ``and`` of ``array_contains``), and
+    ``stack`` unpivots it into one row per pattern. Raises ``ValueError``
+    for an empty pattern list or an empty pattern.
     """
-    aggs = [F.count(F.lit(1)).alias("n_recipes")]
-    pairs = []
-    for k, p in enumerate(patterns):
-        cond = None
-        for item in p:
-            c = F.array_contains("items", item)
-            cond = c if cond is None else (cond & c)
-        # Positional aliases: pattern names never reach a SQL string, so
-        # items with quote characters need no escaping.
-        aggs.append(F.sum(cond.cast("long")).alias(f"p{k}"))
-        pairs.append(
-            F.struct(
-                F.lit(canon_pattern(p)).alias("pattern"),
-                F.col(f"p{k}").alias("freq"),
-            )
-        )
+    if not patterns:
+        raise ValueError("pattern_support: no patterns given")
+    if not all(patterns):
+        raise ValueError("pattern_support: a pattern has no items")
+    # Positional aliases: pattern names never reach a SQL string, so items
+    # with quote characters need no escaping.
+    counts = [
+        F.sum(reduce(and_, [F.array_contains("items", i) for i in p]).cast("long"))
+        .alias(f"p{k}")
+        for k, p in enumerate(patterns)
+    ]
+    rows = [(F.lit(canon_pattern(p)), f"p{k}") for k, p in enumerate(patterns)]
+    stacked = F.stack(F.lit(len(rows)), *[x for row in rows for x in row])
     cores = recipes.sparkSession.sparkContext.defaultParallelism
-    wide = recipes.coalesce(cores).groupBy("region").agg(*aggs)
-    return wide.select(
-        "region", "n_recipes", F.explode(F.array(*pairs)).alias("pf")
-    ).select(
-        "region",
-        "n_recipes",
-        F.col("pf.pattern").alias("pattern"),
-        F.col("pf.freq").cast("long").alias("freq"),
-        (F.col("pf.freq") / F.col("n_recipes")).alias("support"),
-    )
+    grouped = recipes.coalesce(cores).groupBy("region")
+    wide = grouped.agg(F.count(F.lit(1)).alias("n_recipes"), *counts)
+    long = wide.select("region", "n_recipes", stacked.alias("pattern", "freq"))
+    return long.withColumn("support", F.col("freq") / F.col("n_recipes"))

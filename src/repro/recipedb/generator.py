@@ -43,14 +43,15 @@ from .vocab import (
     tail_rates,
 )
 
+ITEM_COLUMNS = ("ingredients", "processes", "utensils")  # one per type in KINDS
 RECIPE_SCHEMA = T.StructType(
     [
         T.StructField("region", T.StringType(), False),
         T.StructField("recipe_id", T.LongType(), False),
-        T.StructField("ingredients", T.ArrayType(T.StringType()), False),
-        T.StructField("processes", T.ArrayType(T.StringType()), False),
-        T.StructField("utensils", T.ArrayType(T.StringType()), False),
-        T.StructField("items", T.ArrayType(T.StringType()), False),
+    ]
+    + [
+        T.StructField(c, T.ArrayType(T.StringType()), False)
+        for c in (*ITEM_COLUMNS, "items")
     ]
 )
 

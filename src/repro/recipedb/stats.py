@@ -16,7 +16,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-ITEM_COLUMNS = ("ingredients", "processes", "utensils")
+from .generator import ITEM_COLUMNS
 
 # Column codes of the per-recipe sentinel rows; items get 0, 1, 2 (their
 # position in ITEM_COLUMNS).
@@ -26,31 +26,24 @@ _RECIPE, _NO_UTENSILS = -1, -2
 def dataset_summary(recipes: DataFrame) -> pd.DataFrame:
     """All Section-III stats as one tidy pandas frame (metric, value).
 
-    One query, no Python lambda: every recipe's three lists are
-    ``posexplode``d behind a null sentinel, and the ``(column, item)``
-    pairs are counted. Position 0 is the sentinel: one row per recipe,
-    coded ``_NO_UTENSILS`` when its utensil list is empty. Any other
-    position falls in the ingredients, processes or utensils by the list
-    sizes. The ~16.6k counts (scale 1.0) are collected, and pandas derives
-    the eight metrics: a column's unique count is its number of distinct
-    items, its average the sum of its counts over N.
+    One query, no Python lambda: ``stack`` turns every recipe into four
+    (column code, list) rows, a one-null sentinel list coded
+    ``_NO_UTENSILS`` when the utensil list is empty (else ``_RECIPE``),
+    then each of ``ITEM_COLUMNS`` by its position. One ``explode`` and a
+    count of the ``(column, item)`` pairs follow. The ~16.6k counts
+    (scale 1.0) are collected, and pandas derives the eight metrics: a
+    column's unique count is its number of distinct items, its average
+    the sum of its counts over N.
     """
-    n_ing, n_proc = F.col("n_ing"), F.col("n_proc")
-    pos = F.col("pos")
+    sentinel = F.when(F.size("utensils") == 0, _NO_UTENSILS).otherwise(_RECIPE)
+    rows = [(sentinel, F.array(F.lit(None).cast("string")))]
+    rows += [(F.lit(i), F.col(c)) for i, c in enumerate(ITEM_COLUMNS)]
+    stacked = F.stack(F.lit(len(rows)), *[x for row in rows for x in row])
     cores = recipes.sparkSession.sparkContext.defaultParallelism
-    exploded = recipes.coalesce(cores).select(
-        F.posexplode(
-            F.concat(F.array(F.lit(None).cast("string")), *ITEM_COLUMNS)
-        ).alias("pos", "item"),
-        F.size("ingredients").alias("n_ing"),
-        F.size("processes").alias("n_proc"),
-        (F.size("utensils") == 0).alias("no_utensils"),
-    )
-    column = F.when(
-        pos == 0, F.when(F.col("no_utensils"), _NO_UTENSILS).otherwise(_RECIPE)
-    ).otherwise((pos > n_ing).cast("int") + (pos > n_ing + n_proc).cast("int"))
     counts = (
-        exploded.select(column.alias("column"), "item")
+        recipes.coalesce(cores)
+        .select(stacked.alias("column", "list"))
+        .select("column", F.explode("list").alias("item"))
         .groupBy("column", "item")
         .count()
         .toPandas()

@@ -178,6 +178,13 @@ def test_top_authentic_items_shape(spark, recipes_small):
     assert set(tops["side"]) == {"most", "least"}
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_top_authentic_items_rejects_k_below_one(k):
+    rel = np.array([[0.5, -0.5]] * len(REGIONS))
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        top_authentic_items(rel, ["a", "b"], k=k)
+
+
 def test_top_authentic_items_signature(spark, recipes_small):
     """Each cuisine's signature items should surface among its most
     authentic ingredients."""

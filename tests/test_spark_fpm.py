@@ -165,6 +165,14 @@ def test_pattern_support_quoted_item_names(spark):
     )
 
 
+def test_pattern_support_rejects_empty_input(recipes_small):
+    """An empty pattern list and an empty pattern are refused by name."""
+    with pytest.raises(ValueError, match="no patterns given"):
+        pattern_support(recipes_small, [])
+    with pytest.raises(ValueError, match="a pattern has no items"):
+        pattern_support(recipes_small, [("butter",), ()])
+
+
 def test_pattern_support_matches_mined_result(mined_small_pdf, recipes_small, spark):
     """Where a named pattern was mined, the SQL containment count must
     equal the mined count exactly."""

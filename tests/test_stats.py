@@ -6,8 +6,8 @@ import pandas as pd
 import pytest
 
 from repro.recipedb import vocab as V
-from repro.recipedb.generator import RECIPE_SCHEMA
-from repro.recipedb.stats import ITEM_COLUMNS, dataset_summary
+from repro.recipedb.generator import ITEM_COLUMNS, RECIPE_SCHEMA
+from repro.recipedb.stats import dataset_summary
 
 
 @pytest.fixture(scope="module")

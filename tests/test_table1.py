@@ -21,7 +21,7 @@ ALL_REGIONS = pytest.mark.parametrize("region", REGIONS)
 
 @pytest.fixture(scope="module")
 def t1(spark, recipes_small) -> pd.DataFrame:
-    return table1(recipes_small)
+    return table1(recipes_small, min_support=0.2)
 
 
 def test_one_row_per_named_pattern(t1):
@@ -69,7 +69,7 @@ def test_table1_three_jobs(recipes_small, mined_small, spark_jobs):
     """With the mined frame cached, Table I is one collect of its regions
     plus the two jobs of the pattern-support query; the pattern counts
     take no Spark aggregation of their own."""
-    assert spark_jobs(lambda: table1(recipes_small)) <= 3
+    assert spark_jobs(lambda: table1(recipes_small, min_support=0.2)) <= 3
 
 
 def test_pattern_counts_include_regions_that_mine_nothing(spark, recipes_small):
@@ -113,11 +113,22 @@ def test_multi_pattern_regions_have_multiple_rows(t1):
 
 def test_table1_rejects_empty_frame(spark):
     with pytest.raises(ValueError, match="no recipes for Australian, Belgian, "):
-        table1(spark.createDataFrame([], RECIPE_SCHEMA))
+        table1(spark.createDataFrame([], RECIPE_SCHEMA), min_support=0.2)
 
 
 def test_table1_names_every_cuisine_without_recipes(recipes_small):
     """Two cuisines missing: one error names both, in REGIONS order."""
     lacking = recipes_small.filter(~F.col("region").isin("Thai", "Korean"))
     with pytest.raises(ValueError, match="no recipes for Thai, Korean$"):
-        table1(lacking)
+        table1(lacking, min_support=0.2)
+
+
+@pytest.mark.parametrize("min_support", [0, 1.5])
+def test_table1_rejects_bad_min_support_before_spark(
+    recipes_small, spark_jobs, min_support
+):
+    def call():
+        with pytest.raises(ValueError, match="min_support"):
+            table1(recipes_small, min_support=min_support)
+
+    assert spark_jobs(call) == 0
