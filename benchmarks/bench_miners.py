@@ -12,19 +12,21 @@ from __future__ import annotations
 
 import pytest
 
+from benchmarks.conftest import BENCH_SCALE, BENCH_SEED
 from repro.mining.apriori import apriori
 from repro.mining.eclat import eclat
 from repro.mining.fpgrowth import fpgrowth
 from repro.mining.spark_fpm import mine_region_mllib
+from repro.recipedb.generator import cuisine_pdf
 from repro.recipedb.vocab import MIN_SUPPORT
 
 REGIONS_UNDER_TEST = ["Italian", "Northern Africa"]
 
 
 @pytest.fixture(scope="module")
-def tx_by_region(recipes_full_pdf):
+def tx_by_region():
     return {
-        r: [list(t) for t in recipes_full_pdf[recipes_full_pdf["region"] == r]["items"]]
+        r: cuisine_pdf(r, scale=BENCH_SCALE, seed=BENCH_SEED)["items"].to_pylist()
         for r in REGIONS_UNDER_TEST
     }
 

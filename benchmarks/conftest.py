@@ -1,5 +1,6 @@
 """Benchmark fixtures: the full-scale (scale=1.0 == 118k-recipe) synthetic
-RecipeDB, as a cached Spark DataFrame and collected to pandas."""
+RecipeDB as a cached Spark DataFrame, for the MLlib bench. The local
+miners read their cuisines from the generator at the same scale and seed."""
 from __future__ import annotations
 
 import pytest
@@ -16,9 +17,3 @@ def recipes_full(spark):
     df.count()
     yield df
     df.unpersist()
-
-
-@pytest.fixture(scope="session")
-def recipes_full_pdf(recipes_full):
-    return recipes_full.toPandas()
-

@@ -1,15 +1,5 @@
 import os
 import sys
-from pathlib import Path
-
-# ``repro`` is importable without ``pip install``: the checkout's ``src/``
-# goes on the driver's ``sys.path`` and on ``PYTHONPATH``, which Spark passes
-# to its Python workers. This runs before pyspark starts, as in
-# ``jobs/_common.py``.
-SRC = str(Path(__file__).resolve().parent / "src")
-sys.path.insert(0, SRC)
-_path = os.environ.get("PYTHONPATH")
-os.environ["PYTHONPATH"] = SRC + (os.pathsep + _path if _path else "")
 
 
 def _driver_mem() -> str:
@@ -66,29 +56,22 @@ os.environ.setdefault(
 )
 
 import pytest  # noqa: E402
-from pyspark.sql import SparkSession  # noqa: E402
+
+# Importing the entrypoint's plumbing puts the checkout's ``src/`` on the
+# driver's ``sys.path`` and on ``PYTHONPATH`` (for Spark's Python workers),
+# so ``repro`` is importable without ``pip install``.
+from jobs import _common  # noqa: E402
 
 
 @pytest.fixture(scope="session")
-def spark() -> SparkSession:
-    """One local-mode SparkSession for the whole test session.
-
-    Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here, with
-    the values of ``jobs/_common.build_session`` so tests plan queries as
-    the entrypoint does. No ``repro`` query joins, so the broadcast
-    threshold changes no plan today.
-    """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config("spark.sql.shuffle.partitions", "64")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
-    # One line in test_output.txt that tells the driver whether the
-    # cgroup derivation saw the real limit (README § Spark target).
+def spark():
+    """One local-mode SparkSession for the whole test session, built by
+    ``jobs/_common.build_session`` so tests plan queries as the entrypoint
+    does. Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set
+    above, pre-JVM-launch)."""
+    s = _common.build_session("repro")
+    # One stderr line that says whether the cgroup derivation saw the real
+    # limit (README's Running block states the heap rule).
     print(
         f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
         f"(src={os.environ.get('_SPARK_DRIVER_MEM_SRC', 'env')}) "

@@ -1,10 +1,11 @@
-"""Shared plumbing for the spark-submit entrypoint ``experiments.py``: the
-SparkSession and the ``--scale/--seed/--min-support`` arguments.
+"""Shared plumbing for the spark-submit entrypoint ``experiments.py`` and
+the test session (the root ``conftest.py``): the SparkSession settings, and
+the entrypoint's ``--scale/--seed/--min-support`` arguments.
 
 Importing this module makes ``repro`` importable without ``pip install``:
 it puts the checkout's ``src/`` on the driver's ``sys.path`` and on
-``PYTHONPATH``, which Spark passes to its Python workers. The entrypoint
-imports it before ``repro`` and before any session starts.
+``PYTHONPATH``, which Spark passes to its Python workers. Both importers
+load it before ``repro`` and before any session starts.
 """
 from __future__ import annotations
 

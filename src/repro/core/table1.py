@@ -23,7 +23,7 @@ from pyspark.sql import DataFrame
 from ..mining.fpgrowth import check_min_support
 from ..mining.patterns import canon_pattern
 from ..mining.spark_fpm import mine_all_regions, pattern_support
-from ..recipedb.vocab import PAPER_TABLE1, REGIONS
+from ..recipedb.vocab import NAMED_PATTERNS, PAPER_TABLE1, REGIONS
 
 
 def table1(recipes: DataFrame, min_support: float) -> pd.DataFrame:
@@ -32,19 +32,21 @@ def table1(recipes: DataFrame, min_support: float) -> pd.DataFrame:
     region, n_recipes (measured), paper_n_recipes, pattern,
     paper_support, support (measured), paper_n_patterns,
     n_patterns (measured at ``min_support``). Raises ``ValueError``
-    naming every cuisine with no recipes, and for a bad ``min_support``
-    before any Spark work.
+    naming every cuisine with no recipes, or every region of the frame
+    outside ``REGIONS``, before the mining job; and for a bad
+    ``min_support`` before any Spark work.
     """
     check_min_support(min_support)
-    all_patterns = sorted(
-        {tuple(sorted(p)) for _, pats, _ in PAPER_TABLE1.values() for p, _ in pats}
-    )
     sup = (
-        pattern_support(recipes, all_patterns)
+        pattern_support(recipes, NAMED_PATTERNS)
         .toPandas()
         .set_index(["region", "pattern"])
     )
-    missing = [r for r in REGIONS if r not in sup.index.get_level_values("region")]
+    found = set(sup.index.get_level_values("region"))
+    unknown = sorted(found - set(REGIONS))
+    if unknown:
+        raise ValueError(f"Table I: cuisines not in REGIONS: {', '.join(unknown)}")
+    missing = [r for r in REGIONS if r not in found]
     if missing:
         raise ValueError(f"Table I: no recipes for {', '.join(missing)}")
     mined = mine_all_regions(recipes, min_support)

@@ -23,6 +23,10 @@ four independent layers (see DESIGN.md §3):
    (marginal per item capped at ~0.12, never frequent) giving realistic
    recipe lengths and the 20,280 / 268 / 69 item universes.
 
+The item universes (``universe(kind)``, derived from the pools the
+generator draws from) and Table I's named patterns (``NAMED_PATTERNS``)
+are defined here once; ``core.table1`` and the tests read them from here.
+
 Everything here is pure data + deterministic arithmetic: no RNG at import.
 """
 from __future__ import annotations
@@ -110,6 +114,11 @@ PAPER_TABLE1: dict[str, tuple[int, list[tuple[tuple[str, ...], float]], int]] = 
 }
 
 REGIONS: list[str] = list(PAPER_TABLE1)
+
+NAMED_PATTERNS: list[tuple[str, ...]] = sorted(
+    {tuple(sorted(p)) for _, pats, _ in PAPER_TABLE1.values() for p, _ in pats}
+)
+"""Table I's named patterns, each a sorted item tuple, in sorted order."""
 
 
 def cuisine_matrix(regions, labels, values) -> tuple[np.ndarray, list[str]]:
@@ -589,26 +598,6 @@ TAIL_UTENSILS: list[str] = GENERIC_UTENSILS + [
 ]
 
 
-def ingredient_universe() -> set[str]:
-    """The full 20,280-ingredient universe."""
-    u = set(NAMED_BY_TYPE["ingredient"]) | set(TAIL_ING_GLOBAL)
-    for pool in TAIL_ING_FAMILY.values():
-        u.update(pool)
-    for pool in TAIL_ING_CONTINENT.values():
-        u.update(pool)
-    for pool in TAIL_ING_UNIQUE.values():
-        u.update(pool)
-    return u
-
-
-def process_universe() -> set[str]:
-    return set(NAMED_BY_TYPE["process"]) | set(TAIL_PROCESSES)
-
-
-def utensil_universe() -> set[str]:
-    return set(NAMED_BY_TYPE["utensil"]) | set(TAIL_UTENSILS)
-
-
 def _rank_jitter(pool: list[str], seed: int) -> list[str]:
     """Deterministically perturb item ranks by N(0, 25) — cuisines in the
     same family keep *mostly* the same top tail items (correlated prevalence
@@ -640,6 +629,14 @@ def tail_pools(region: str) -> tuple[list[str], list[str], list[str]]:
     )
     rot = (idx * 31) % len(TAIL_PROCESSES)
     return ingredients, TAIL_PROCESSES[rot:] + TAIL_PROCESSES[:rot], TAIL_UTENSILS[:]
+
+
+def universe(kind: str) -> set[str]:
+    """The Section-III universe of one item type in ``KINDS`` (20,280
+    ingredients, 268 processes, 69 utensils): its named items plus every
+    tail item the generator draws from, over all cuisines' ``tail_pools``."""
+    k = KINDS.index(kind)
+    return NAMED_BY_TYPE[kind].union(*(tail_pools(r)[k] for r in REGIONS))
 
 
 def tail_rates(region: str) -> tuple[float, float, float]:

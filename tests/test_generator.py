@@ -11,6 +11,7 @@ import pytest
 import repro
 from repro.recipedb import vocab as V
 from repro.recipedb.generator import (
+    ITEM_COLUMNS,
     MIN_RECIPES,
     _scaled_n,
     _tempered_weights,
@@ -112,6 +113,15 @@ def test_typed_columns_typed_correctly(small_rows):
         assert all(item_type(i) == "ingredient" for i in row["ingredients"])
         assert all(item_type(i) == "process" for i in row["processes"])
         assert all(item_type(i) == "utensil" for i in row["utensils"])
+
+
+def test_typed_columns_within_universe():
+    """Every item the generator emits lies in its type's Section-III universe."""
+    table = recipes_pdf(scale=0.05, seed=0)
+    for kind, col in zip(V.KINDS, ITEM_COLUMNS):
+        emitted = {i for recipe in table[col].to_pylist() for i in recipe}
+        outside = emitted - V.universe(kind)
+        assert not outside, sorted(outside)[:5]
 
 
 def test_utensil_dropout_fraction():

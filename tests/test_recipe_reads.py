@@ -15,15 +15,13 @@ import pytest
 from repro.authenticity.prevalence import prevalence
 from repro.mining.spark_fpm import pattern_support
 from repro.recipedb.stats import dataset_summary
-from repro.recipedb.vocab import PAPER_TABLE1
-
-NAMED = sorted({tuple(sorted(p)) for row in PAPER_TABLE1.values() for p, _ in row[1]})
+from repro.recipedb.vocab import NAMED_PATTERNS
 
 AGGREGATIONS = {
     "dataset_summary": dataset_summary,
     "prevalence": prevalence,
     "pattern_support": lambda df: (
-        pattern_support(df, NAMED)
+        pattern_support(df, NAMED_PATTERNS)
         .toPandas()
         .sort_values(["region", "pattern"], ignore_index=True)
     ),

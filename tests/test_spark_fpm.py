@@ -13,7 +13,7 @@ from repro.mining.spark_fpm import (
     pattern_support,
 )
 from repro.oracle import assert_equivalent
-from repro.recipedb.vocab import PAPER_TABLE1, REGIONS
+from repro.recipedb.vocab import NAMED_PATTERNS, REGIONS
 
 
 def _local_mined(pdf: pd.DataFrame, region: str, min_support: float = 0.2):
@@ -189,9 +189,6 @@ def test_pattern_support_matches_mined_result(mined_small_pdf, recipes_small, sp
 
 
 def test_named_patterns_measured_for_every_region(spark, recipes_small):
-    pats = sorted(
-        {tuple(sorted(p)) for row in PAPER_TABLE1.values() for p, _ in row[1]}
-    )
-    sup = pattern_support(recipes_small, pats).toPandas()
-    assert len(sup) == len(pats) * 26
+    sup = pattern_support(recipes_small, NAMED_PATTERNS).toPandas()
+    assert len(sup) == len(NAMED_PATTERNS) * 26
     assert sup["support"].between(0, 1).all()

@@ -123,6 +123,20 @@ def test_table1_names_every_cuisine_without_recipes(recipes_small):
         table1(lacking, min_support=0.2)
 
 
+def test_table1_rejects_cuisines_outside_regions(spark, recipes_small, spark_jobs):
+    """A recipe of a cuisine outside REGIONS is named in the error, not
+    dropped from the table, and the check comes before the mining job."""
+    atlantis = spark.createDataFrame(
+        [("Atlantis", 10**9, ["salt"], [], [], ["salt"])], RECIPE_SCHEMA
+    )
+
+    def call():
+        with pytest.raises(ValueError, match="cuisines not in REGIONS: Atlantis$"):
+            table1(recipes_small.unionByName(atlantis), min_support=0.2)
+
+    assert spark_jobs(call) <= 2
+
+
 @pytest.mark.parametrize("min_support", [0, 1.5])
 def test_table1_rejects_bad_min_support_before_spark(
     recipes_small, spark_jobs, min_support

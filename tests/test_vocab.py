@@ -122,17 +122,13 @@ def test_tail_pools_typed_by_construction(region):
 
 
 def test_universe_sizes_match_paper():
-    assert len(V.ingredient_universe()) == V.N_UNIQUE_INGREDIENTS == 20_280
-    assert len(V.process_universe()) == V.N_UNIQUE_PROCESSES == 268
-    assert len(V.utensil_universe()) == V.N_UNIQUE_UTENSILS == 69
+    assert len(V.universe("ingredient")) == V.N_UNIQUE_INGREDIENTS == 20_280
+    assert len(V.universe("process")) == V.N_UNIQUE_PROCESSES == 268
+    assert len(V.universe("utensil")) == V.N_UNIQUE_UTENSILS == 69
 
 
 def test_universes_are_disjoint():
-    ing, proc, ut = (
-        V.ingredient_universe(),
-        V.process_universe(),
-        V.utensil_universe(),
-    )
+    ing, proc, ut = (V.universe(kind) for kind in V.KINDS)
     assert not ing & proc
     assert not ing & ut
     assert not proc & ut
