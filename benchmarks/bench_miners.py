@@ -21,6 +21,8 @@ from repro.recipedb.generator import cuisine_pdf
 from repro.recipedb.vocab import MIN_SUPPORT
 
 REGIONS_UNDER_TEST = ["Italian", "Northern Africa"]
+# The reference, the candidate-generation baseline, the grouped engine.
+LOCAL_MINERS = [fpgrowth, apriori, eclat]
 
 
 @pytest.fixture(scope="module")
@@ -32,25 +34,10 @@ def tx_by_region():
 
 
 @pytest.mark.parametrize("region", REGIONS_UNDER_TEST)
-def test_bench_fpgrowth_reference(benchmark, tx_by_region, region):
+@pytest.mark.parametrize("miner", LOCAL_MINERS, ids=lambda m: m.__name__)
+def test_bench_local_miner(benchmark, tx_by_region, miner, region):
     res = benchmark.pedantic(
-        fpgrowth, args=(tx_by_region[region], MIN_SUPPORT), rounds=3, iterations=1
-    )
-    assert len(res) > 20
-
-
-@pytest.mark.parametrize("region", REGIONS_UNDER_TEST)
-def test_bench_apriori_baseline(benchmark, tx_by_region, region):
-    res = benchmark.pedantic(
-        apriori, args=(tx_by_region[region], MIN_SUPPORT), rounds=3, iterations=1
-    )
-    assert len(res) > 20
-
-
-@pytest.mark.parametrize("region", REGIONS_UNDER_TEST)
-def test_bench_eclat(benchmark, tx_by_region, region):
-    res = benchmark.pedantic(
-        eclat, args=(tx_by_region[region], MIN_SUPPORT), rounds=3, iterations=1
+        miner, args=(tx_by_region[region], MIN_SUPPORT), rounds=3, iterations=1
     )
     assert len(res) > 20
 
@@ -66,5 +53,5 @@ def test_bench_mllib_fpgrowth(benchmark, spark, recipes_full):
 def test_miners_agree_at_bench_scale(tx_by_region):
     for tx in tx_by_region.values():
         expected = fpgrowth(tx, MIN_SUPPORT)
-        assert apriori(tx, MIN_SUPPORT) == expected
-        assert eclat(tx, MIN_SUPPORT) == expected
+        for miner in LOCAL_MINERS[1:]:
+            assert miner(tx, MIN_SUPPORT) == expected, miner.__name__

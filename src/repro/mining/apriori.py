@@ -20,10 +20,7 @@ def apriori(
 
     Same output contract as :func:`repro.mining.fpgrowth.fpgrowth`.
     """
-    n = len(transactions)
-    mc = min_count(n, min_support)
-    if n == 0:
-        return {}
+    mc = min_count(len(transactions), min_support)
     sets = [frozenset(t) for t in transactions]
 
     counts: dict[str, int] = defaultdict(int)
@@ -37,20 +34,17 @@ def apriori(
 
     k = 2
     while current:
-        # Candidate generation: join frequent (k-1)-itemsets sharing a
-        # (k-2)-prefix, then prune candidates with an infrequent subset.
-        prev = sorted(current, key=lambda s: sorted(s))
+        # Candidate generation: join frequent (k-1)-itemsets that share a
+        # (k-2)-prefix into k-itemsets; prune those with an infrequent subset.
+        prev = sorted(tuple(sorted(s)) for s in current)
         candidates: set[frozenset[str]] = set()
-        prev_sorted = [tuple(sorted(s)) for s in prev]
-        for i in range(len(prev_sorted)):
-            for j in range(i + 1, len(prev_sorted)):
-                a, b = prev_sorted[i], prev_sorted[j]
+        for i in range(len(prev)):
+            for j in range(i + 1, len(prev)):
+                a, b = prev[i], prev[j]
                 if a[:-1] != b[:-1]:
                     break  # sorted list: once prefixes diverge, stop inner scan
                 cand = frozenset(a) | frozenset(b)
-                if len(cand) == k and all(
-                    cand - {x} in current for x in cand
-                ):
+                if all(cand - {x} in current for x in cand):
                     candidates.add(cand)
         if not candidates:
             break

@@ -62,8 +62,9 @@ def eclat(
 
     Args:
         transactions: sequence of item collections (lists, sets or the
-            object arrays a pandas group holds); duplicates within a
-            transaction are collapsed, as in MLlib.
+            object arrays a pandas group holds); an item repeated within a
+            transaction counts once (MLlib's FPGrowth rejects such a
+            transaction instead). A null item raises ``ValueError``.
         min_support: relative support threshold in (0, 1], checked by
             ``min_count``; an itemset is frequent iff its count is at least
             ``min_count(n, min_support)``.
@@ -80,9 +81,13 @@ def eclat(
         count=int(lengths.sum()),
     )
     codes, labels = pd.factorize(flat)
+    owner = np.repeat(np.arange(n), lengths)  # transaction of each occurrence
+    if (null := codes < 0).any():  # factorize codes a null as -1
+        at = null.argmax()
+        raise ValueError(f"eclat: transaction {owner[at]} holds a null item {flat[at]!r}")
     # One (tid, item) pair per occurrence; np.unique drops repeats, so an
     # item counts once per transaction.
-    pairs = np.unique(np.repeat(np.arange(n), lengths) * len(labels) + codes)
+    pairs = np.unique(owner * len(labels) + codes)
     tids, codes = np.divmod(pairs, len(labels))
     counts = np.bincount(codes, minlength=len(labels))
     # Frequent items, least frequent first: intersections start from the

@@ -96,8 +96,9 @@ def fpgrowth(
     """Mine all frequent itemsets.
 
     Args:
-        transactions: iterable of item collections (duplicates within a
-            transaction are collapsed, as in MLlib).
+        transactions: iterable of item collections; an item repeated
+            within a transaction counts once (MLlib's FPGrowth rejects such
+            a transaction instead: "Items in a transaction must be unique").
         min_support: relative support threshold in (0, 1]; an itemset is
             frequent iff its count is at least ``min_count(n, min_support)``
             = ``max(1, ceil(min_support * n))``, the threshold MLlib's
@@ -117,10 +118,7 @@ def bruteforce(
 ) -> dict[frozenset[str], int]:
     """Exponential reference miner for tests: enumerate every itemset that
     occurs as a subset of some transaction and count it."""
-    n = len(transactions)
-    mc = min_count(n, min_support)
-    if n == 0:
-        return {}
+    mc = min_count(len(transactions), min_support)
     sets = [frozenset(t) for t in transactions]
     counts: dict[frozenset[str], int] = defaultdict(int)
     for s in sets:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pandas as pd
 import pytest
+from pyspark.errors import PythonException
 from pyspark.sql import functions as F
 
 from repro.mining.fpgrowth import fpgrowth
@@ -51,7 +52,7 @@ def test_grouped_one_partition_per_core(spark, recipes_small, mined_small):
     assert mined.rdd.getNumPartitions() == spark.sparkContext.defaultParallelism
 
 
-@pytest.mark.parametrize("region", ["Korean", "Greek"])
+@pytest.mark.parametrize("region", ["Korean", "Greek", "Middle Eastern"])
 def test_mllib_equals_local_reference(spark, recipes_small, recipes_small_pdf, region):
     """Spark MLlib FPGrowth must agree itemset-for-itemset with the
     reference implementation."""
@@ -60,6 +61,17 @@ def test_mllib_equals_local_reference(spark, recipes_small, recipes_small_pdf, r
     assert list(got_pdf.columns) == ["region", "items", "freq"]
     got = {frozenset(r.items): r.freq for r in got_pdf.itertuples()}
     assert got == expected
+
+
+def test_grouped_miner_rejects_null_item(spark):
+    """``RECIPE_SCHEMA``'s arrays admit null elements; a null item fails the
+    region's group with ``eclat``'s message, not a silent miscount."""
+    df = spark.createDataFrame(
+        [("A", ["a", "b"]), ("A", ["a", None]), ("A", [None, "c"]), ("A", ["c"])],
+        "region string, items array<string>",
+    )
+    with pytest.raises(PythonException, match="holds a null item None"):
+        mine_all_regions(df, 0.5).collect()
 
 
 def test_min_support_filters_more_patterns(spark, recipes_small):
